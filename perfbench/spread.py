@@ -9,8 +9,8 @@ distance between the first and third quartile as a share of the median
     python3 perfbench/spread.py --workloads graph_square --seeds 1-5 --seconds 20
 
 Run it from the repository root after building the benchmark
-(`cargo build --release --manifest-path perfbench/Cargo.toml`). With
-`--jsonl PATH` every result line is appended to PATH as well.
+(`cargo build --release --manifest-path perfbench/Cargo.toml`). The runs
+are untraced: the spreads are those of the end-to-end metrics.
 """
 
 import argparse
@@ -31,8 +31,6 @@ def main():
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
     ap.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
     ap.add_argument("--seconds", default="20")
-    ap.add_argument("--trace", default="0")
-    ap.add_argument("--jsonl", help="append every result line to this file")
     ap.add_argument(
         "--binary",
         default=os.path.join(os.environ.get("CARGO_TARGET_DIR", "perfbench/target"), "release", "perfbench"),
@@ -43,14 +41,11 @@ def main():
         values = {}
         for seed in seeds(args.seeds):
             cmd = [args.binary, "--workload", workload, "--seed", str(seed),
-                   "--seconds", args.seconds, "--trace", args.trace]
+                   "--seconds", args.seconds, "--trace", "0"]
             out = subprocess.run(cmd, capture_output=True, text=True)
             if out.returncode != 0:
                 sys.exit(f"{' '.join(cmd)} exited {out.returncode}:\n{out.stderr}")
             line = out.stdout.strip().splitlines()[-1]
-            if args.jsonl:
-                with open(args.jsonl, "a") as f:
-                    f.write(json.dumps({"workload": workload, "seed": seed, "result": json.loads(line)}) + "\n")
             result = json.loads(line)
             if not result["correct"] or result["failed"]:
                 sys.exit(f"{workload} seed {seed}: incorrect result {line}")

@@ -1,14 +1,15 @@
 //! The traced run's per-layer rounds, shared by every workload. Each
 //! round calls the layers' public functions one at a time around spans:
-//! an untraced host multiply (the overhead base), then the same
-//! multiply split into plan → symbolic → numeric, the sim backend's
+//! an untraced host multiply (the overhead base) and the same multiply
+//! split into plan → symbolic → numeric, back to back in alternating
+//! order so each pair sees the same machine, then the sim backend's
 //! symbolic and numeric phases, the Gustavson floor, the engine's
 //! fingerprint and the memory forecast.
 
 use crate::check::{bitwise_eq, matches_reference, SimExact};
 use crate::report::Report;
-use crate::stats::{median, quartile_spread, Ratio};
-use crate::trace::Tracer;
+use crate::stats::{median, Ratio};
+use crate::trace::{Span, Tracer};
 use engine::PlanKey;
 use nsparse_core::{
     estimate_memory, BatchedExecutor, Executor, HostParallelExecutor, Options, SimExecutor,
@@ -31,6 +32,8 @@ pub struct Input<'a> {
 }
 
 struct HostOp {
+    /// The untraced multiply paired with this traced one, ms.
+    untraced_ms: f64,
     root: usize,
     plan: usize,
     symbolic: usize,
@@ -53,6 +56,7 @@ type Probes = (u64, u64, u64);
 pub struct Layers {
     host: HostParallelExecutor,
     opts: Options,
+    rounds: usize,
     untraced_ms: Vec<f64>,
     host_ops: Vec<HostOp>,
     sim_ops: Vec<SimOp>,
@@ -73,6 +77,7 @@ impl Layers {
         Layers {
             host: HostParallelExecutor::new(1),
             opts: Options::default(),
+            rounds: 0,
             untraced_ms: Vec::new(),
             host_ops: Vec::new(),
             sim_ops: Vec::new(),
@@ -88,14 +93,22 @@ impl Layers {
     /// One round over `inp`; every product is checked after its span.
     pub fn round(&mut self, tr: &mut Tracer, rep: &mut Report, inp: &Input) {
         let a = inp.a;
-        let t = Instant::now();
-        let run = self.host.multiply(black_box(a), black_box(a), &self.opts);
-        self.untraced_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        rep.op(run.map_err(es).and_then(|r| bitwise_eq(&r.matrix, inp.reference, "host multiply")));
-
+        let untraced_first = self.rounds % 2 == 0;
+        self.rounds += 1;
+        let mut untraced = None;
+        if untraced_first {
+            untraced = Some(self.untraced(rep, inp));
+        }
         tr.next_op();
-        let res = self.host_op(tr, inp);
-        rep.op(res);
+        let op = self.host_op(tr, inp);
+        let untraced = untraced.unwrap_or_else(|| self.untraced(rep, inp));
+        match op {
+            Ok(op) => {
+                self.host_ops.push(HostOp { untraced_ms: untraced, ..op });
+                rep.op(Ok(()));
+            }
+            Err(e) => rep.op(Err(e)),
+        }
 
         tr.next_op();
         let res = self.sim_op(tr, inp);
@@ -117,7 +130,20 @@ impl Layers {
         rep.op(black_box(est).map(|_| ()).map_err(es));
     }
 
-    fn host_op(&mut self, tr: &mut Tracer, inp: &Input) -> Result<(), String> {
+    /// One untraced host multiply, checked; returns its milliseconds.
+    fn untraced(&mut self, rep: &mut Report, inp: &Input) -> f64 {
+        let a = inp.a;
+        let t = Instant::now();
+        let run = self.host.multiply(black_box(a), black_box(a), &self.opts);
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        self.untraced_ms.push(ms);
+        rep.op(run.map_err(es).and_then(|r| bitwise_eq(&r.matrix, inp.reference, "host multiply")));
+        ms
+    }
+
+    /// The host multiply split into its layers under spans; the returned
+    /// op is not yet paired (`untraced_ms` is `NaN`).
+    fn host_op(&mut self, tr: &mut Tracer, inp: &Input) -> Result<HostOp, String> {
         let (a, host, opts) = (inp.a, &mut self.host, &self.opts);
         let root = tr.enter("host.op");
         let (plan, plan_id) = tr.span("plan", || host.plan(a, a, opts));
@@ -140,7 +166,8 @@ impl Layers {
         if *self.probes.entry(inp.key).or_insert(probes) != probes {
             return Err(format!("host probe counts changed between passes on input {}", inp.key));
         }
-        self.host_ops.push(HostOp {
+        Ok(HostOp {
+            untraced_ms: f64::NAN,
             root,
             plan: plan_id,
             symbolic: sym_id,
@@ -148,8 +175,7 @@ impl Layers {
             rows: a.rows() as f64,
             products: inp.products as f64,
             output_nnz: num.matrix.nnz() as f64,
-        });
-        Ok(())
+        })
     }
 
     fn sim_op(&mut self, tr: &mut Tracer, inp: &Input) -> Result<(), String> {
@@ -315,26 +341,75 @@ impl Layers {
             traced,
             format!("host plan+symbolic+numeric under spans, {hn}"),
         );
-        let overhead = Ratio::new(traced - untraced, untraced);
+        let pairs: Vec<Ratio> = self
+            .host_ops
+            .iter()
+            .map(|o| Ratio::new(dur(o.root) / 1e6 - o.untraced_ms, o.untraced_ms))
+            .collect();
+        let overhead = median_ratio(&pairs);
         rep.put(
             "trace.overhead_frac",
             overhead.value(),
-            overhead.describe("traced-untraced ms", "untraced ms"),
+            format!(
+                "median over {n_host} back-to-back pairs of (traced-untraced ms) / untraced ms; its pair {}",
+                overhead.describe("traced-untraced ms", "untraced ms")
+            ),
         );
 
-        // The layers' self times must add up to the untraced multiply,
-        // within the tracing overhead plus the untraced samples' own
-        // quartile spread.
-        let layers = plan_ms + sym_ms + num_ms;
-        let gap = (layers - untraced).abs() / untraced;
-        let allowed = overhead.value().abs() + quartile_spread(&self.untraced_ms);
-        let within = gap <= allowed;
-        if !within {
-            rep.error(format!(
-                "traced plan+symbolic+numeric = {layers:.3} ms vs untraced {untraced:.3} ms: gap {gap:.4} exceeds overhead+spread {allowed:.4}"
-            ));
+        if let Err(e) = accounting(tr.spans(), &st, &self.host_ops) {
+            rep.error(e);
         }
     }
+}
+
+/// Largest gap, as a share of the untraced multiply, between it and the
+/// traced self times of plan, symbolic and numeric run next to it (the
+/// median over the pairs): what tracing and the split path may cost
+/// together before the check fails.
+pub const MAX_TRACE_GAP: f64 = 0.10;
+/// Largest share of the traced host multiplies that their plan, symbolic
+/// and numeric spans may leave uncovered.
+pub const MAX_ROOT_SELF: f64 = 0.01;
+
+/// The middle one of `rs` by value (the upper middle of an even count),
+/// with its own base.
+fn median_ratio(rs: &[Ratio]) -> Ratio {
+    let mut v = rs.to_vec();
+    v.sort_by(|x, y| x.value().total_cmp(&y.value()));
+    v.get(v.len() / 2).copied().unwrap_or(Ratio::new(f64::NAN, f64::NAN))
+}
+
+/// Layer accounting of the traced host multiplies, each against the
+/// untraced one run next to it: the self times of plan, symbolic and
+/// numeric must add up to the untraced multiply within
+/// [`MAX_TRACE_GAP`] (median over the pairs), and those three spans must
+/// cover all but [`MAX_ROOT_SELF`] of their `host.op` parents.
+fn accounting(spans: &[Span], self_ns: &[f64], ops: &[HostOp]) -> Result<(), String> {
+    let gaps: Vec<Ratio> = ops
+        .iter()
+        .map(|o| {
+            let layers = (self_ns[o.plan] + self_ns[o.symbolic] + self_ns[o.numeric]) / 1e6;
+            Ratio::new(layers - o.untraced_ms, o.untraced_ms)
+        })
+        .collect();
+    let gap = median_ratio(&gaps);
+    if !(gap.value().abs() <= MAX_TRACE_GAP) {
+        return Err(format!(
+            "traced plan+symbolic+numeric vs the untraced multiply next to it, median over {} pairs: gap {:.4} exceeds {MAX_TRACE_GAP} ({})",
+            ops.len(),
+            gap.value(),
+            gap.describe("layers-untraced ms", "untraced ms")
+        ));
+    }
+    let root: f64 = ops.iter().map(|o| spans[o.root].duration_ns()).sum();
+    let uncovered: f64 = ops.iter().map(|o| self_ns[o.root]).sum();
+    let share = uncovered / root;
+    if !(share <= MAX_ROOT_SELF) {
+        return Err(format!(
+            "host.op spans leave {share:.4} of their time outside plan, symbolic and numeric (at most {MAX_ROOT_SELF})"
+        ));
+    }
+    Ok(())
 }
 
 /// The simulated per-phase metrics, summed over `exacts` (one entry per
@@ -351,4 +426,85 @@ pub fn put_sim_exact(exacts: &[&SimExact], rep: &mut Report) {
         rep.put(name, exacts.iter().map(|e| e.phase_us(phase)).sum(), note.clone());
     }
     rep.put("sim.probes", exacts.iter().map(|e| e.probes as f64).sum(), note);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(name: &'static str, start_ms: f64, end_ms: f64, parent: Option<usize>) -> Span {
+        Span { name, start_ns: start_ms * 1e6, end_ns: end_ms * 1e6, parent, op: 1 }
+    }
+
+    /// One traced host multiply of `root_ms`, whose plan, symbolic and
+    /// numeric spans cover all of it except `gap_ms` before numeric,
+    /// paired with an untraced multiply of `untraced_ms`.
+    fn traced_op(root_ms: f64, gap_ms: f64, untraced_ms: f64) -> (Vec<Span>, HostOp) {
+        let spans = vec![
+            span("host.op", 0.0, root_ms, None),
+            span("plan", 0.0, 1.0, Some(0)),
+            span("host.symbolic", 1.0, 40.0, Some(0)),
+            span("host.numeric", 40.0 + gap_ms, root_ms, Some(0)),
+        ];
+        let op = HostOp {
+            untraced_ms,
+            root: 0,
+            plan: 1,
+            symbolic: 2,
+            numeric: 3,
+            rows: 1.0,
+            products: 1.0,
+            output_nnz: 1.0,
+        };
+        (spans, op)
+    }
+
+    /// Accounting over traced/untraced pairs `(root_ms, untraced_ms)`,
+    /// each traced op leaving `gap_ms` uncovered.
+    fn check(pairs: &[(f64, f64)], gap_ms: f64) -> Result<(), String> {
+        let (mut spans, mut ops) = (Vec::new(), Vec::new());
+        for &(root_ms, untraced_ms) in pairs {
+            let (s, mut op) = traced_op(root_ms, gap_ms, untraced_ms);
+            let base = spans.len();
+            spans
+                .extend(s.into_iter().map(|sp| Span { parent: sp.parent.map(|p| p + base), ..sp }));
+            for id in [&mut op.root, &mut op.plan, &mut op.symbolic, &mut op.numeric] {
+                *id += base;
+            }
+            ops.push(op);
+        }
+        let st = crate::trace::self_times_ns(&spans);
+        accounting(&spans, &st, &ops)
+    }
+
+    #[test]
+    fn accounting_accepts_layers_that_add_up() {
+        check(&[(100.0, 97.0), (103.0, 100.0), (200.0, 203.0)], 0.5).unwrap();
+    }
+
+    #[test]
+    fn accounting_pairs_each_traced_multiply_with_its_neighbour() {
+        // The machine halves its speed between pairs: the medians of the
+        // traced and untraced samples lie far apart, the pairs agree.
+        check(&[(100.0, 99.0), (200.0, 198.0), (100.0, 101.0), (200.0, 202.0)], 0.0).unwrap();
+    }
+
+    #[test]
+    fn accounting_fails_when_tracing_costs_more_than_the_cap() {
+        // Traced layers 50% above the untraced multiply next to them.
+        let e = check(&[(150.0, 100.0), (300.0, 200.0), (150.0, 100.0)], 0.0).unwrap_err();
+        assert!(e.contains("gap 0.5000"), "{e}");
+        // And below it: the split path may not be much faster either.
+        assert!(check(&[(80.0, 100.0)], 0.0).is_err());
+        // A single cheap pair does not hide a costly majority.
+        assert!(check(&[(100.0, 100.0), (130.0, 100.0), (130.0, 100.0)], 0.0).is_err());
+    }
+
+    #[test]
+    fn accounting_fails_when_the_layers_leave_the_multiply_uncovered() {
+        // 5 ms of a 100 ms multiply fall outside the three layer spans,
+        // though the layers still add up to the untraced time.
+        let e = check(&[(100.0, 95.0)], 5.0).unwrap_err();
+        assert!(e.contains("0.0500 of their time"), "{e}");
+    }
 }

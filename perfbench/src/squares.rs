@@ -9,7 +9,7 @@
 
 use crate::check::{bitwise_eq, matches_reference, SimExact};
 use crate::layers::{put_sim_exact, Input, Layers};
-use crate::reference::RefKernel;
+use crate::reference::RefClock;
 use crate::report::{peak_rss_mib, Report, MIB};
 use crate::serve::{closed_loop, put_engine_layers, JobKind};
 use crate::stats::{median, tail};
@@ -37,16 +37,18 @@ pub struct Square {
 /// Protein class: 3000 rows, 119.3 nnz/row (max 204), bandwidth 300.
 pub const FEM: Square = Square {
     make: |seed| matgen::generators::banded(3000, 119.3, 204, 300, seed),
-    reference_ms: 140.0,
+    reference_ms: 110.0,
 };
 
 /// Economics class: 206,500 rows, 6.2 nnz/row (max 44), uniform columns.
 pub const GRAPH: Square = Square {
     make: |seed| matgen::generators::random_uniform(206_500, 6.2, 44, seed),
-    reference_ms: 540.0,
+    reference_ms: 390.0,
 };
 
-const SETUP_REPS: usize = 3;
+/// Timed set-ups per untraced run, after the one that makes the
+/// fixture; `setup_s` is their median.
+const SETUP_REPS: usize = 5;
 /// Host multiplies per sim multiply in the untraced loop.
 const HOST_PER_SIM: usize = 2;
 /// Samples the untraced loop takes at least, however long they take.
@@ -93,51 +95,66 @@ fn setup(sq: &Square, seed: u64, rep: &mut Report) -> Result<Fixture, String> {
 }
 
 pub fn run(sq: &Square, args: &Args, rep: &mut Report) -> Result<(), String> {
-    let mut setup_s = Vec::new();
-    let mut fx: Option<Fixture> = None;
-    for _ in 0..if args.trace { 1 } else { SETUP_REPS } {
+    let fx = setup(sq, args.seed, rep)?;
+    if args.trace {
+        return traced(&fx, args, rep);
+    }
+    let mut clock = RefClock::new(&[(&fx.a, &fx.reference)], sq.reference_ms);
+    let (mut raw, mut scaled) = (Vec::new(), Vec::new());
+    for _ in 0..SETUP_REPS {
         let t = Instant::now();
         let f = setup(sq, args.seed, rep)?;
-        setup_s.push(t.elapsed().as_secs_f64());
-        if let Some(prev) = &fx {
-            if prev.a != f.a {
-                rep.error("the input differs between set-ups of one seed".into());
-            }
-            if let Err(e) = prev.exact.same(&f.exact, "sim reference across set-ups") {
-                rep.error(e);
-            }
+        let s = t.elapsed().as_secs_f64();
+        if fx.a != f.a {
+            rep.error("the input differs between set-ups of one seed".into());
         }
-        fx = Some(f);
+        if let Err(e) = fx.exact.same(&f.exact, "sim reference across set-ups") {
+            rep.error(e);
+        }
+        drop(f);
+        raw.push(s);
+        scaled.push(s * clock.tick());
     }
-    let fx = fx.expect("at least one set-up");
-    if args.trace {
-        traced(&fx, args, rep)
-    } else {
-        untraced(sq, &fx, args, &setup_s, rep)
-    }
+    rep.put(
+        "setup_s",
+        median(&scaled),
+        format!(
+            "median of {SETUP_REPS} set-ups (generate, gustavson + sim references, host warm-up) {}: raw median {:.6} s",
+            clock.describe(0),
+            median(&raw)
+        ),
+    );
+    untraced(&fx, args, clock, rep)
+}
+
+/// Wall samples, raw and at reference speed, both in ms.
+#[derive(Default)]
+struct Samples {
+    raw: Vec<f64>,
+    scaled: Vec<f64>,
 }
 
 fn untraced(
-    sq: &Square,
     fx: &Fixture,
     args: &Args,
-    setup_s: &[f64],
+    mut clock: RefClock,
     rep: &mut Report,
 ) -> Result<(), String> {
     let a = &*fx.a;
     let opts = Options::default();
     let mut host = HostParallelExecutor::new(1);
-    let mut reference = RefKernel::new();
-    let (mut host_ms, mut sim_ms, mut ref_ms) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut hs, mut ss) = (Samples::default(), Samples::default());
+    let first = clock.factors.len();
     let start = Instant::now();
     while start.elapsed().as_secs_f64() < args.seconds
-        || host_ms.len() < MIN_HOST
-        || sim_ms.len() < MIN_SIM
+        || hs.raw.len() < MIN_HOST
+        || ss.raw.len() < MIN_SIM
     {
+        let mut round = Vec::with_capacity(HOST_PER_SIM);
         for _ in 0..HOST_PER_SIM {
             let t = Instant::now();
             let run = host.multiply(black_box(a), black_box(a), &opts);
-            host_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            round.push(t.elapsed().as_secs_f64() * 1e3);
             rep.op(run
                 .map_err(es)
                 .and_then(|r| bitwise_eq(&r.matrix, &fx.reference, "host multiply")));
@@ -146,58 +163,39 @@ fn untraced(
         let mut sim = SimExecutor::new(&mut gpu);
         let t = Instant::now();
         let run = sim.multiply(black_box(a), black_box(a), &opts);
-        sim_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        let sim_ms = t.elapsed().as_secs_f64() * 1e3;
         rep.op(run.map_err(es).and_then(|r| {
             bitwise_eq(&r.matrix, &fx.reference, "sim multiply")?;
             fx.exact.same(&SimExact::of(&r.report, "sim multiply")?, "sim multiply vs warm-up")
         }));
-        let t = Instant::now();
-        let nnz = reference.square(black_box(a));
-        ref_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        rep.op(if nnz == fx.reference.nnz() {
-            Ok(())
-        } else {
-            Err(format!(
-                "reference kernel: {nnz} non-zeros, the product has {}",
-                fx.reference.nnz()
-            ))
-        });
+        let f = clock.tick();
+        hs.scaled.extend(round.iter().map(|ms| ms * f));
+        hs.raw.extend(round);
+        ss.raw.push(sim_ms);
+        ss.scaled.push(sim_ms * f);
     }
-    let (nh, ns) = (host_ms.len(), sim_ms.len());
-    // Times scale by `speed`, rates by its inverse; each note keeps the
-    // raw figure.
-    let ref_p50 = median(&ref_ms);
-    let speed = sq.reference_ms / ref_p50;
-    let base = format!(
-        "x speed {speed:.4} (reference kernel p50 {ref_p50:.3} ms of {} runs, nominal {} ms)",
-        ref_ms.len(),
-        sq.reference_ms
-    );
-    let time = |rep: &mut Report, name, raw: f64, what: String| {
-        rep.put(name, raw * speed, format!("{what}: raw {raw:.6} ms {base}"));
+    clock.flush(rep);
+    let (nh, ns) = (hs.raw.len(), ss.raw.len());
+    let base = clock.describe(first);
+    let time = |rep: &mut Report, name, s: &Samples, what: String| {
+        let raw = median(&s.raw);
+        rep.put(name, median(&s.scaled), format!("{what} {base}: raw {raw:.6} ms"));
     };
-    let host_s: f64 = host_ms.iter().sum::<f64>() / 1e3;
-    let setup = median(setup_s);
-    rep.put(
-        "setup_s",
-        setup * speed,
-        format!("median of {} set-ups (generate, gustavson + sim references, host warm-up): raw {setup:.6} s {base}", setup_s.len()),
-    );
+    let host_s = hs.scaled.iter().sum::<f64>() / 1e3;
+    let raw_host_s = hs.raw.iter().sum::<f64>() / 1e3;
     rep.put("peak_rss_mb", peak_rss_mib()?, "VmHWM");
-    let p50 = median(&host_ms);
-    time(rep, "multiply_ms_p50", p50, format!("host:1, median of {nh}"));
-    let mprod = fx.products as f64 * nh as f64 / host_s / 1e6;
+    time(rep, "multiply_ms_p50", &hs, format!("host:1, median of {nh}"));
+    let mprod = |s: f64| fx.products as f64 * nh as f64 / s / 1e6;
     rep.put(
         "mprod_per_s",
-        mprod / speed,
-        format!("{} products x {nh} multiplies / {host_s:.3} s host wall: raw {mprod:.6} Mprod/s {base}", fx.products),
+        mprod(host_s),
+        format!(
+            "{} products x {nh} multiplies / {host_s:.3} s host wall {base}: raw {:.6} Mprod/s",
+            fx.products,
+            mprod(raw_host_s)
+        ),
     );
-    time(
-        rep,
-        "sim_multiply_ms_p50",
-        median(&sim_ms),
-        format!("host wall per sim multiply, median of {ns}"),
-    );
+    time(rep, "sim_multiply_ms_p50", &ss, format!("host wall per sim multiply, median of {ns}"));
     rep.put("sim_kernel_us", fx.exact.total_us(), "exact, simulated P100");
     rep.put(
         "sim_peak_mem_mb",
@@ -205,25 +203,33 @@ fn untraced(
         "exact, simulated device peak",
     );
     // Each host multiply is one job of a single closed-loop client.
-    let jobs = nh as f64 / host_s;
     rep.put(
         "jobs_per_s",
-        jobs / speed,
-        format!("host:1 multiplies per second, {nh} jobs: raw {jobs:.6} {base}"),
+        nh as f64 / host_s,
+        format!(
+            "host:1 multiplies per second, {nh} jobs {base}: raw {:.6}",
+            nh as f64 / raw_host_s
+        ),
     );
-    time(rep, "job_latency_ms_p50", p50, format!("host:1 multiply, median of {nh}"));
+    time(rep, "job_latency_ms_p50", &hs, format!("host:1 multiply, median of {nh}"));
     // The tail rule, but never below the median: with under twenty
     // samples no percentile above it has ten samples beyond it.
-    match tail(&host_ms) {
-        Some(t) if t.pct >= 50.0 => {
-            let what =
-                format!("p{:.1} of {nh}: highest percentile with {} beyond", t.pct, t.beyond);
-            time(rep, "job_latency_ms_p99", t.value, what);
-        }
-        _ => {
-            let what = format!("median: {nh} samples leave no percentile above it with ten beyond");
-            time(rep, "job_latency_ms_p99", p50, what);
-        }
+    let (raw_tail, scaled_tail) = (tail(&hs.raw), tail(&hs.scaled));
+    match (raw_tail, scaled_tail) {
+        (Some(r), Some(t)) if t.pct >= 50.0 => rep.put(
+            "job_latency_ms_p99",
+            t.value,
+            format!(
+                "p{:.1} of {nh}: highest percentile with {} beyond {base}: raw {:.6} ms",
+                t.pct, t.beyond, r.value
+            ),
+        ),
+        _ => time(
+            rep,
+            "job_latency_ms_p99",
+            &hs,
+            format!("median: {nh} samples leave no percentile above it with ten beyond"),
+        ),
     }
     Ok(())
 }
@@ -274,6 +280,7 @@ fn traced(fx: &Fixture, args: &Args, rep: &mut Report) -> Result<(), String> {
         1,
         &mut |k| jobs.get(k as usize).copied(),
         &|_, _| true,
+        None,
         Some(&mut tr),
         rep,
     );

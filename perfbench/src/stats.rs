@@ -94,27 +94,6 @@ impl Ratio {
     }
 }
 
-/// Distance between the first and third quartile as a share of the
-/// median — the spread the benchmark's bounds are checked against.
-/// Quartiles follow the exclusive method (Python's
-/// `statistics.quantiles(xs, n=4)` default).
-pub fn quartile_spread(xs: &[f64]) -> f64 {
-    let v = sorted(xs);
-    let n = v.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let q = |k: f64| {
-        // Position k·(n+1)/4 in 1-based ranks, clamped to the samples.
-        let pos = (k * (n as f64 + 1.0) / 4.0).clamp(1.0, n as f64);
-        let lo = pos.floor() as usize;
-        let frac = pos - lo as f64;
-        let hi = (lo + 1).min(n);
-        v[lo - 1] + frac * (v[hi - 1] - v[lo - 1])
-    };
-    (q(3.0) - q(1.0)) / median(xs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,12 +143,5 @@ mod tests {
         assert_eq!(r.value(), 0.75);
         assert_eq!(r.describe("hits", "lookups"), "0.7500 = hits 3 / lookups 4");
         assert!(Ratio::new(1.0, 0.0).value().is_nan());
-    }
-
-    #[test]
-    fn quartile_spread_matches_python_exclusive_method() {
-        // statistics.quantiles([1..10], n=4) == [2.75, 5.5, 8.25]
-        let xs: Vec<f64> = (1..=10).map(f64::from).collect();
-        assert!((quartile_spread(&xs) - (8.25 - 2.75) / 5.5).abs() < 1e-12);
     }
 }

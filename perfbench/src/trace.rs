@@ -119,7 +119,7 @@ impl Tracer {
     }
 }
 
-fn self_times_ns(spans: &[Span]) -> Vec<f64> {
+pub fn self_times_ns(spans: &[Span]) -> Vec<f64> {
     let mut children: Vec<Vec<(f64, f64)>> = vec![Vec::new(); spans.len()];
     for s in spans {
         if let Some(p) = s.parent {
