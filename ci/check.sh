@@ -54,6 +54,15 @@ cargo run -q --release --offline -p bench --bin spgemm -- \
   --dataset wb-edu --tiny --backend host:2 --output "$smoke/host.mtx" \
   >/dev/null 2>&1
 cmp "$smoke/sim.mtx" "$smoke/host.mtx"
+# Long rows at high compression: the host's dense accumulator must sum
+# each output column in the sim's hash-table order.
+cargo run -q --release --offline -p bench --bin spgemm -- \
+  --dataset Protein --tiny --backend sim --output "$smoke/protein-sim.mtx" \
+  >/dev/null 2>&1
+cargo run -q --release --offline -p bench --bin spgemm -- \
+  --dataset Protein --tiny --backend host:1 --output "$smoke/protein-host.mtx" \
+  >/dev/null 2>&1
+cmp "$smoke/protein-sim.mtx" "$smoke/protein-host.mtx"
 
 echo "== resilience (seeded fault sweep, recovery + no-leak contract) ==" >&2
 # DESIGN.md §13: a fixed seed pins the derived malloc-OOM injection so

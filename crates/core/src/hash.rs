@@ -61,6 +61,8 @@ pub struct HashTable<T> {
     /// Probe-distribution observer; `None` (the default) keeps the
     /// non-telemetry path free of histogram work.
     observer: Option<Box<ProbeStats>>,
+    /// Reused gather buffer of [`HashTable::gather_sorted_into`].
+    gather: Vec<(u32, T)>,
 }
 
 impl<T: Scalar> HashTable<T> {
@@ -77,6 +79,7 @@ impl<T: Scalar> HashTable<T> {
             probes: 0,
             scramble,
             observer: None,
+            gather: Vec::new(),
         }
     }
 
@@ -258,9 +261,31 @@ impl<T: Scalar> HashTable<T> {
         std::mem::take(&mut self.probes)
     }
 
-    /// Extract this row's entries sorted by column — the functional
-    /// equivalent of the paper's gather + count-sort phases (§III-C).
-    /// Returns `(columns, values)`.
+    /// Write this row's entries sorted by column into `cols`/`vals` —
+    /// the functional equivalent of the paper's gather + count-sort
+    /// phases (§III-C) — through the table's reused gather buffer, so a
+    /// row costs no allocation. Returns `false`, writing nothing, when
+    /// the row's distinct count differs from the slices' length (the
+    /// caller sized them from a symbolic nnz the table disagrees with).
+    pub fn gather_sorted_into(&mut self, cols: &mut [u32], vals: &mut [T]) -> bool {
+        if self.occupied != cols.len() || cols.len() != vals.len() {
+            return false;
+        }
+        let buf = &mut self.gather;
+        buf.clear();
+        let live = self.stamp[..=self.mask].iter().zip(&self.keys).zip(&self.vals);
+        buf.extend(live.filter(|((&s, _), _)| s == self.epoch).map(|((_, &k), &v)| (k, v)));
+        buf.sort_unstable_by_key(|&(c, _)| c);
+        for ((c, v), &(k, x)) in cols.iter_mut().zip(vals.iter_mut()).zip(buf.iter()) {
+            *c = k;
+            *v = x;
+        }
+        true
+    }
+
+    /// Extract this row's entries sorted by column as owned vectors
+    /// (for callers that merge rows before writing them out). Returns
+    /// `(columns, values)`.
     pub fn extract_sorted(&self) -> (Vec<u32>, Vec<T>) {
         let mut entries: Vec<(u32, T)> = (0..self.capacity())
             .filter(|&s| self.stamp[s] == self.epoch)
@@ -309,6 +334,27 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(cols, sorted);
         assert_eq!(cols.len(), 7);
+    }
+
+    #[test]
+    fn gather_matches_extract_and_checks_the_row_length() {
+        let mut t = HashTable::<f64>::new(32, true);
+        t.reset(32);
+        for k in [31u32, 2, 17, 2, 4, 31, 0] {
+            t.insert_numeric(k, k as f64 + 0.5);
+        }
+        let (want_c, want_v) = t.extract_sorted();
+        let (mut c, mut v) = (vec![0u32; 5], vec![0.0f64; 5]);
+        assert!(t.gather_sorted_into(&mut c, &mut v));
+        assert_eq!((c, v), (want_c, want_v));
+        // A slice sized from a different nnz is refused, not truncated.
+        let (mut c, mut v) = (vec![9u32; 4], vec![0.0f64; 4]);
+        assert!(!t.gather_sorted_into(&mut c, &mut v));
+        assert_eq!(c, vec![9; 4]);
+        // Gathering does not disturb probe accounting.
+        t.take_probes();
+        assert!(t.gather_sorted_into(&mut [0; 5], &mut [0.0; 5]));
+        assert_eq!(t.take_probes(), 0);
     }
 
     #[test]

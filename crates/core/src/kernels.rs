@@ -20,11 +20,12 @@
 //!   against the row's others → `nnz²` comparisons), and the coalesced
 //!   write of the finished row.
 //!
-//! Both execution backends run these functions: [`crate::sim`] consumes
-//! the functional result *and* the [`BlockCost`]; [`crate::host`] runs
-//! the same row walks on OS threads and ignores the cost half. Keeping
-//! one implementation is what makes sim-vs-host output bitwise equal
-//! (DESIGN.md §12).
+//! [`crate::sim`] consumes the functional result *and* the
+//! [`BlockCost`]. [`crate::host`] runs these walks only for hash rows too
+//! wide for its dense accumulator (`crate::rowalg`) and ignores the cost
+//! half. Every kernel sums a row's products in A-row traversal order and
+//! emits columns sorted, which is what makes sim-vs-host output bitwise
+//! equal (DESIGN.md §12).
 
 use crate::groups::GroupSpec;
 use crate::hash::{HashTable, Insert};
@@ -64,7 +65,10 @@ pub(crate) struct TbRowStats {
     pub probes: u64,
     /// Distinct columns (row nnz) found.
     pub nnz: u32,
-    /// Count-phase first pass ran out of table space.
+    /// Symbolic: the count-phase first pass ran out of table space.
+    /// Numeric: the row did not fit the output slice the symbolic nnz
+    /// sized for it (table overflow or a distinct-count mismatch) — an
+    /// invariant violation the executors report as `Error::Invariant`.
     pub overflowed: bool,
     /// A-row length.
     pub a_len: u64,
@@ -99,9 +103,10 @@ pub(crate) fn tb_symbolic_row<T: Scalar>(
     s
 }
 
-/// Walk one row TB/ROW-style through `table` (numeric), then extract the
+/// Walk one row TB/ROW-style through `table` (numeric), then gather the
 /// sorted row into `out_cols`/`out_vals` (slices of exactly the row's
-/// nnz, as established by the symbolic phase).
+/// nnz, as established by the symbolic phase). A row that overflows the
+/// table or disagrees with that nnz sets `overflowed` instead.
 pub(crate) fn tb_numeric_row<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
@@ -119,15 +124,16 @@ pub(crate) fn tb_numeric_row<T: Scalar>(
         s.products += bcols.len() as u64;
         s.chunks += bcols.len().div_ceil(32) as u64;
         for (&j, &bv) in bcols.iter().zip(bvals) {
-            let r = table.insert_numeric(j, av * bv);
-            debug_assert_ne!(r, Insert::Overflow, "numeric table sized from symbolic nnz");
+            if table.insert_numeric(j, av * bv) == Insert::Overflow {
+                s.overflowed = true;
+            }
         }
     }
     s.probes = table.take_probes();
     s.nnz = table.occupied() as u32;
-    let (cols, vals) = table.extract_sorted();
-    out_cols.copy_from_slice(&cols);
-    out_vals.copy_from_slice(&vals);
+    if !table.gather_sorted_into(out_cols, out_vals) {
+        s.overflowed = true;
+    }
     s
 }
 
@@ -224,7 +230,8 @@ pub(crate) struct PwarpRowStats {
     pub nnz: u32,
     /// Symbolic walk ran out of table space (possible only when the
     /// grouping metric was a sampling under-estimate; the row is then
-    /// recounted exactly by the replan path).
+    /// recounted exactly by the replan path). Numeric: the row did not
+    /// fit its symbolic-nnz output slice (see [`TbRowStats::overflowed`]).
     pub overflowed: bool,
     /// A-row length.
     pub a_len: u64,
@@ -232,7 +239,7 @@ pub(crate) struct PwarpRowStats {
 
 /// Walk one row PWARP-style (width lanes striding the A-row, each lane
 /// walking its B-rows serially). `numeric` additionally accumulates
-/// values and extracts the sorted row.
+/// values and gathers the sorted row into `out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pwarp_row<T: Scalar>(
     a: &Csr<T>,
@@ -254,8 +261,9 @@ pub(crate) fn pwarp_row<T: Scalar>(
         s.products += bcols.len() as u64;
         for (&j, &bv) in bcols.iter().zip(bvals) {
             if numeric {
-                let r = table.insert_numeric(j, av * bv);
-                debug_assert_ne!(r, Insert::Overflow, "numeric table sized from symbolic nnz");
+                if table.insert_numeric(j, av * bv) == Insert::Overflow {
+                    s.overflowed = true;
+                }
             } else if table.insert_symbolic(j) == Insert::Overflow {
                 // Same contract as the TB/ROW first pass: terminate and
                 // hand the row to the exact recount.
@@ -274,9 +282,9 @@ pub(crate) fn pwarp_row<T: Scalar>(
     s.lane_max = lane_steps.iter().copied().max().unwrap_or(0);
     s.nnz = table.occupied() as u32;
     if let Some((oc, ov)) = out {
-        let (cols, vals) = table.extract_sorted();
-        oc.copy_from_slice(&cols);
-        ov.copy_from_slice(&vals);
+        if !table.gather_sorted_into(oc, ov) {
+            s.overflowed = true;
+        }
     }
     s
 }

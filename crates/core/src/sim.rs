@@ -530,10 +530,11 @@ pub(crate) fn run_count<T: Scalar>(
                 gpu.san_note_memset(gt, 0, replan_bytes);
             }
             let mut blocks = Vec::with_capacity(replan_rows.len());
+            let mut replan_overflowed = false;
             for (&r, &cap) in replan_rows.iter().zip(&exact_caps) {
                 let s = tb_symbolic_row(a, b, r as usize, cap, &mut table);
                 total_probes += s.probes;
-                debug_assert!(!s.overflowed, "exact-cap replan table cannot overflow");
+                replan_overflowed |= s.overflowed;
                 nnz_row[r as usize] = s.nnz;
                 blocks.push(tb_global_block_cost(gpu, &s, cap, None));
             }
@@ -552,6 +553,9 @@ pub(crate) fn run_count<T: Scalar>(
             });
             gpu.free(gt);
             launch_res?;
+            if replan_overflowed {
+                return Err(Error::invariant("exact-cap replan table overflowed"));
+            }
             drain_probe_stats(gpu, &mut table, "count", 0);
             if let Some(t) = gpu.telemetry_mut() {
                 t.emit(obs::Event::new("replan").str("phase", "count").u64("rows", replans));
@@ -580,6 +584,9 @@ pub(crate) fn run_numeric<T: Scalar>(
     table.observe_probes(gpu.telemetry_enabled());
     let mut scratch = RowAlgScratch::<T>::new();
     let mut total_probes = 0u64;
+    // Set when a row does not fill the slice its symbolic nnz sized;
+    // reported once every group's device buffers are released.
+    let mut misfit = false;
     let numeric: PhasePlan = plan.numeric_phase(nnz_row)?;
     emit_group_summary(gpu, &numeric.groups, &numeric.metric, "calc");
     grouping_kernel(gpu, m, None)?;
@@ -604,6 +611,7 @@ pub(crate) fn run_numeric<T: Scalar>(
                 let mut blocks = Vec::with_capacity(rows.len());
                 for &r in rows {
                     let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
+                    let want = span.len();
                     let s = esc_numeric_row(
                         a,
                         b,
@@ -612,6 +620,7 @@ pub(crate) fn run_numeric<T: Scalar>(
                         &mut col_c[span.clone()],
                         &mut val_c[span],
                     );
+                    misfit |= s.nnz as usize != want;
                     blocks.push(esc_block_cost(gpu, spec.block_threads, &s, Some(T::BYTES)));
                 }
                 gpu.launch(
@@ -637,6 +646,7 @@ pub(crate) fn run_numeric<T: Scalar>(
                 let mut blocks = Vec::with_capacity(rows.len());
                 for &r in rows {
                     let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
+                    let want = span.len();
                     let s = merge_numeric_row(
                         a,
                         b,
@@ -645,6 +655,7 @@ pub(crate) fn run_numeric<T: Scalar>(
                         &mut col_c[span.clone()],
                         &mut val_c[span],
                     );
+                    misfit |= s.nnz as usize != want;
                     blocks.push(merge_block_cost(gpu, &s, Some(T::BYTES)));
                 }
                 let launch_res = gpu.launch(
@@ -674,6 +685,7 @@ pub(crate) fn run_numeric<T: Scalar>(
                         &mut val_c[span],
                     );
                     total_probes += s.probes;
+                    misfit |= s.overflowed;
                     blocks.push(tb_block_cost(gpu, spec, &s, Some(T::BYTES)));
                 }
                 gpu.launch(
@@ -717,6 +729,7 @@ pub(crate) fn run_numeric<T: Scalar>(
                         &mut val_c[span],
                     );
                     total_probes += s.probes;
+                    misfit |= s.overflowed;
                     blocks.push(tb_global_block_cost(gpu, &s, cap, Some(T::BYTES)));
                 }
                 let launch_res = memset_res.and_then(|()| {
@@ -762,6 +775,7 @@ pub(crate) fn run_numeric<T: Scalar>(
                         })
                         .collect();
                     total_probes += stats.iter().map(|s| s.probes).sum::<u64>();
+                    misfit |= stats.iter().any(|s| s.overflowed);
                     blocks.push(pwarp_block_cost(gpu, spec, width, &stats, Some(T::BYTES)));
                 }
                 gpu.launch(
@@ -776,6 +790,9 @@ pub(crate) fn run_numeric<T: Scalar>(
             }
         }
         drain_probe_stats(gpu, &mut table, "calc", gi);
+    }
+    if misfit {
+        return Err(Error::invariant("a numeric row did not match its symbolic nnz"));
     }
     Ok((col_c, val_c, total_probes))
 }
