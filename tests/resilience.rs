@@ -249,6 +249,97 @@ fn kernel_fault_classifies_transient_and_leak_free() {
     assert_no_leak(&gpu, "kernel fault");
 }
 
+/// A square matrix that reaches every sim kernel. A fifth of the rows
+/// are empty and most have 1–4 scattered entries; some have 20, 16
+/// wide rows have 2000, and four hub rows select ten wide rows each
+/// (no other row selects a hub or wide row). Hub rows overflow
+/// the shared tables of both phases at low compression (global tables,
+/// or merge under the adaptive policy); wide and 20-entry rows make ESC
+/// groups; and a one-element sample that lands on an empty row
+/// under-estimates its row, which the replan pass then recounts.
+fn every_kernel_matrix() -> Csr<f64> {
+    let n = 16_384;
+    let mut s = 29u64;
+    let mut next = |m: usize| {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (s >> 33) as usize % m
+    };
+    let mut t = Vec::new();
+    let hub = |r: usize| r % 4096 == 7;
+    let wide = |r: usize| r % 1024 == 11;
+    for r in 0..n {
+        let deg = match r {
+            _ if hub(r) => 10,
+            _ if wide(r) => 2000,
+            _ if r % 50 == 3 => 20,
+            _ if r % 5 == 0 => 0,
+            _ => 1 + next(4),
+        };
+        for _ in 0..deg {
+            let col = match next(n) {
+                _ if hub(r) => 11 + 1024 * next(16),
+                c if hub(c) || wide(c) => c + 1,
+                c => c,
+            };
+            t.push((r, col as u32, 1.0 + next(5) as f64));
+        }
+    }
+    Csr::from_triplets(n, n, &t).unwrap()
+}
+
+/// The same contract at every kernel the sim pipeline launches: each
+/// distinct kernel name of a clean run (scans and memsets included) is
+/// made to fail in turn, and the multiply must return a `Kernel` error
+/// with every device buffer freed — the group-0 tables, the count
+/// overflow and replan tables and the merge buffers among them.
+#[test]
+fn kernel_fault_sweep_leaks_nothing_at_any_kernel() {
+    let a = every_kernel_matrix();
+    let sampled = Estimator::Sampled { sample: 1 };
+    let mut swept = std::collections::BTreeSet::new();
+    for (policy, estimator) in [
+        (AlgorithmPolicy::Adaptive, Estimator::Exact),
+        (AlgorithmPolicy::Adaptive, sampled),
+        (AlgorithmPolicy::HashOnly, sampled),
+    ] {
+        let opts = Options { policy, estimator, ..Options::default() };
+        let mut gpu = test_gpu(DeviceConfig::p100());
+        SimExecutor::new(&mut gpu).multiply(&a, &a, &opts).unwrap();
+        // Mallocs are profiled as zero-block records; only launches fail.
+        let kernels = gpu.profiler().kernel_table().into_iter().filter(|k| k.blocks > 0);
+        let names: Vec<String> = kernels.map(|k| k.name).collect();
+        for name in names {
+            if !swept.insert(name.clone()) {
+                continue;
+            }
+            let what = format!("{policy} policy, {estimator} estimator, kernel {name} failing");
+            let mut gpu = test_gpu(DeviceConfig::p100());
+            gpu.set_fault_plan(FaultPlan::new(1).kernel_fail(name.as_str()));
+            let Err(err) = SimExecutor::new(&mut gpu).multiply(&a, &a, &opts) else {
+                panic!("{what}: the multiply succeeded");
+            };
+            assert_eq!(err.kind(), ErrorKind::Kernel, "{what}: {err}");
+            assert_no_leak(&gpu, &what);
+        }
+    }
+    for kernel in [
+        "memset",
+        "symbolic_tb",
+        "symbolic_pwarp",
+        "symbolic_esc",
+        "symbolic_merge",
+        "symbolic_global",
+        "symbolic_replan",
+        "numeric_tb",
+        "numeric_pwarp",
+        "numeric_esc",
+        "numeric_merge",
+        "numeric_global",
+    ] {
+        assert!(swept.iter().any(|n| n.starts_with(kernel)), "{kernel} never ran: {swept:?}");
+    }
+}
+
 /// Memcpy faults surface as structured kernel-class errors through the
 /// taxonomy's `From<GpuError>` conversion, retryable like any other
 /// transient device fault.
