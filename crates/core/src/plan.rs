@@ -14,6 +14,7 @@
 //! that could diverge is made exactly once, here.
 
 use crate::groups::{build_groups, Assignment, GroupPhase, GroupTable};
+use crate::kernels::RowKind;
 use crate::pipeline::{overflow_err, Options, Result};
 use crate::rowalg::AlgorithmChoice;
 use sparse::spgemm_ref::row_intermediate_products;
@@ -212,11 +213,17 @@ impl PhasePlan {
         }
     }
 
-    /// The row algorithm a backend must dispatch for `row` in this
-    /// phase (the per-group choice of DESIGN.md §16; `Hash` unless the
-    /// adaptive policy selected otherwise).
-    pub fn algorithm_for(&self, row: usize) -> AlgorithmChoice {
-        self.groups.groups[self.groups.group_of(self.metric[row])].algorithm
+    /// The row kernel the host backend runs for `row` in this phase:
+    /// the group's algorithm (DESIGN.md §16; `Hash` unless the adaptive
+    /// policy selected otherwise), with `Hash` rows on the dense
+    /// accumulator when `dense`, else through the row's planned table.
+    pub(crate) fn row_kind(&self, row: usize, dense: bool) -> RowKind {
+        match self.groups.groups[self.groups.group_of(self.metric[row])].algorithm {
+            AlgorithmChoice::Esc => RowKind::Esc,
+            AlgorithmChoice::Merge => RowKind::Merge,
+            AlgorithmChoice::Hash if dense => RowKind::Dense,
+            AlgorithmChoice::Hash => RowKind::Hash { cap: self.table_size_for(row) },
+        }
     }
 
     /// Split `0..rows` into at most `parts` contiguous ranges of roughly

@@ -10,23 +10,23 @@
 //! that moved out of this file was pure host work the device never saw.
 
 use crate::exec::{prefix_sum, Backend, BackendCaps, Execution, Executor, SymbolicOutput};
-use crate::groups::{Assignment, GroupTable};
+use crate::groups::{Assignment, GroupSpec, GroupTable};
 use crate::hash::HashTable;
 use crate::kernels::{
-    count_products_block_cost, pwarp_block_cost, pwarp_row, tb_block_cost, tb_global_block_cost,
-    tb_numeric_row, tb_symbolic_row, PwarpRowStats,
+    count_products_block_cost, pwarp_block_cost, row_kernel, tb_block_cost, tb_global_block_cost,
+    RowKind, RowWorkspace,
 };
 use crate::pipeline::{overflow_err, Error, Options, Result};
 use crate::plan::{
     exact_row_products, global_table_size_checked, Estimator, PhasePlan, SpgemmPlan,
 };
-use crate::rowalg::{
-    esc_block_cost, esc_numeric_row, esc_symbolic_row, merge_block_cost, merge_numeric_row,
-    merge_symbolic_row, AlgorithmChoice, RowAlgScratch,
-};
+use crate::rowalg::{esc_block_cost, merge_block_cost, AlgorithmChoice};
 use sparse::{Csr, Scalar, DEVICE_INDEX_BYTES};
 use vgpu::device::DEFAULT_STREAM;
-use vgpu::{primitives, AllocId, Gpu, KernelDesc, MemRange, Phase, SimTime, SpgemmReport};
+use vgpu::{
+    primitives, AllocId, BlockCost, Gpu, KernelDesc, MemRange, Phase, SimTime, SpgemmReport,
+    StreamId,
+};
 
 /// Frees a set of device allocations on drop-equivalent cleanup.
 pub(crate) struct OwnedAllocs {
@@ -108,12 +108,12 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
             }
         };
         gpu.set_phase(Phase::Count);
-        let res = run_count(gpu, a, b, plan);
+        let res = run_phase(gpu, a, b, plan, &plan.count, None);
         gpu.set_phase(Phase::Other);
         gpu.free(d_nprod);
         gpu.free(grp);
-        let (nnz_row, probes, replans) = res?;
-        Ok(SymbolicOutput::from_nnz_row(nnz_row, probes, replans))
+        let count = res?;
+        Ok(SymbolicOutput::from_nnz_row(count.nnz_row, count.probes, count.replans))
     }
 
     /// Standalone numeric phase against a cached symbolic result (the
@@ -136,10 +136,12 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
         let c_buf = gpu.malloc(c_bytes, "C")?;
         gpu.set_phase(Phase::Calc);
         let d_c = MemRange { id: c_buf, offset: 0, len: c_bytes };
-        let res = run_numeric(gpu, a, b, plan, &symbolic.nnz_row, &symbolic.rpt, Some(d_c));
+        let res = plan
+            .numeric_phase(&symbolic.nnz_row)
+            .and_then(|numeric| run_phase(gpu, a, b, plan, &numeric, Some((&symbolic.rpt, d_c))));
         gpu.set_phase(Phase::Other);
         gpu.free(c_buf);
-        let (col_c, val_c, calc_probes) = res?;
+        let calc = res?;
         let report = report_from_delta(
             gpu,
             phase_before,
@@ -147,11 +149,13 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
             T::PRECISION,
             plan.total_products,
             nnz_c as u64,
-            calc_probes,
+            calc.probes,
         );
         // lint:allow(unchecked-ctor) — hot-path assembly; rows are sorted by kernel construction
-        let c = Csr::from_parts_unchecked(m, plan.cols, symbolic.rpt.clone(), col_c, val_c)
-            .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
+        let c = Csr::from_parts_unchecked(m, plan.cols, symbolic.rpt.clone(), calc.col, calc.val)
+            .map_err(|e| {
+            Error::invariant(format!("numeric phase assembled malformed C: {e}"))
+        })?;
         Ok(Execution { matrix: c, report, wall: None, replans: symbolic.replans })
     }
 
@@ -288,10 +292,10 @@ fn multiply_inner<T: Scalar>(
 
     // ---------------- Count: (3) symbolic hash per group ----------------
     gpu.set_phase(Phase::Count);
-    let (nnz_row, count_probes, replans) = run_count(gpu, a, b, plan)?;
+    let count = run_phase(gpu, a, b, plan, &plan.count, None)?;
     // (4) scan row counts into the output row pointer.
     primitives::exclusive_scan(gpu, DEFAULT_STREAM, m as u64 + 1, DEVICE_INDEX_BYTES as u32)?;
-    let rpt_c = prefix_sum(&nnz_row);
+    let rpt_c = prefix_sum(&count.nnz_row);
     let nnz_c = rpt_c.last().copied().unwrap_or(0);
 
     // ---------------- Malloc: (5) allocate the output ----------------
@@ -303,8 +307,8 @@ fn multiply_inner<T: Scalar>(
     // ---------------- Calc: (6) regroup, (7) numeric ----------------
     gpu.set_phase(Phase::Calc);
     let c_range = MemRange { id: d_c, offset: 0, len: c_bytes };
-    let (col_c, val_c, calc_probes) =
-        run_numeric(gpu, a, b, plan, &nnz_row, &rpt_c, Some(c_range))?;
+    let numeric = plan.numeric_phase(&count.nnz_row)?;
+    let calc = run_phase(gpu, a, b, plan, &numeric, Some((&rpt_c, c_range)))?;
     gpu.set_phase(Phase::Other);
     // Assemble the report from the profiler delta of this call.
     let report = report_from_delta(
@@ -314,487 +318,332 @@ fn multiply_inner<T: Scalar>(
         T::PRECISION,
         plan.total_products,
         nnz_c as u64,
-        count_probes + calc_probes,
+        count.probes + calc.probes,
     );
     // lint:allow(unchecked-ctor) — hot-path assembly; rows are sorted by kernel construction
-    let c = Csr::from_parts_unchecked(m, b.cols(), rpt_c, col_c, val_c)
+    let c = Csr::from_parts_unchecked(m, b.cols(), rpt_c, calc.col, calc.val)
         .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
-    Ok(Execution { matrix: c, report, wall: None, replans })
+    Ok(Execution { matrix: c, report, wall: None, replans: count.replans })
 }
 
-/// The symbolic (count) phase: run the per-group row kernels (hash,
-/// ESC or merge per the plan's [`AlgorithmChoice`]) from the count-phase
-/// bucketing, handle global-table overflow rows, and — under a sampled
-/// estimator — replan rows whose padded table still under-sized.
-/// Returns the exact nnz of every output row, the total hash-probe
-/// steps observed, and the replanned-row count. The caller sets the
-/// device phase.
-pub(crate) fn run_count<T: Scalar>(
+/// What one phase produced on the device.
+struct PhaseRun<T> {
+    /// Symbolic: the exact nnz of every output row (empty when numeric).
+    nnz_row: Vec<u32>,
+    /// Numeric: the output columns (empty when symbolic).
+    col: Vec<u32>,
+    /// Numeric: the output values (empty when symbolic).
+    val: Vec<T>,
+    /// Hash-probe steps observed.
+    probes: u64,
+    /// Symbolic: rows the replan pass recounted.
+    replans: u64,
+}
+
+/// One phase of the pipeline on the device: the symbolic (count) phase
+/// when `out` is `None`, else the numeric (calc) phase, which writes
+/// each row at `out`'s row pointer into the output buffer it names.
+/// Every non-empty group of `phase` is one launch of the kernel its
+/// (algorithm, assignment, phase) selects. Count rows whose shared table
+/// overflowed are recounted through per-row global tables sized from
+/// their intermediate products, and — under a sampled estimator — rows
+/// whose global table still under-sized are replanned. The caller sets
+/// the device phase.
+fn run_phase<T: Scalar>(
     gpu: &mut Gpu,
     a: &Csr<T>,
     b: &Csr<T>,
     plan: &SpgemmPlan,
-) -> Result<(Vec<u32>, u64, u64)> {
-    let count = &plan.count;
-    let nprod = &count.metric;
-    emit_group_summary(gpu, &count.groups, nprod, "count");
-    let m = a.rows();
-    let mut nnz_row = vec![0u32; m];
-    let mut table = HashTable::<T>::new(1024, plan.opts.use_mul_hash);
-    table.observe_probes(gpu.telemetry_enabled());
-    let mut scratch = RowAlgScratch::<T>::new();
-    let mut total_probes = 0u64;
-    let mut count_overflow: Vec<u32> = Vec::new();
-    for (gi, spec) in count.groups.groups.iter().enumerate() {
-        let rows = &count.rows_by_group[gi];
+    phase: &PhasePlan,
+    out: Option<(&[usize], MemRange)>,
+) -> Result<PhaseRun<T>> {
+    let numeric = out.is_some();
+    let (prefix, label) = if numeric { ("numeric", "calc") } else { ("symbolic", "count") };
+    emit_group_summary(gpu, &phase.groups, &phase.metric, label);
+    let mut run =
+        PhaseRun { nnz_row: Vec::new(), col: Vec::new(), val: Vec::new(), probes: 0, replans: 0 };
+    match out {
+        Some((rpt, _)) => {
+            // (6) regroup the rows by output nnz.
+            grouping_kernel(gpu, a.rows(), None)?;
+            let nnz_c = rpt.last().copied().unwrap_or(0);
+            run.col = vec![0; nnz_c];
+            run.val = vec![T::ZERO; nnz_c];
+        }
+        None => run.nnz_row = vec![0; a.rows()],
+    }
+    let mut ws = RowWorkspace::<T>::new(plan.opts.use_mul_hash);
+    ws.table.observe_probes(gpu.telemetry_enabled());
+    let mut overflow = Vec::new();
+    for (gi, spec) in phase.groups.groups.iter().enumerate() {
+        let rows = &phase.rows_by_group[gi];
         if rows.is_empty() {
             continue;
         }
-        let stream = plan.stream_for(gi);
-        match spec.assignment {
-            // ESC rows expand into shared memory and sort — no table,
-            // no overflow, exact counts on the first pass.
-            Assignment::TbRow if spec.algorithm == AlgorithmChoice::Esc => {
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let s = esc_symbolic_row(a, b, r as usize, &mut scratch);
-                    nnz_row[r as usize] = s.nnz;
-                    blocks.push(esc_block_cost(gpu, spec.block_threads, &s, None));
+        let kernel = GroupKernel::of(spec, numeric);
+        let launch = Launch {
+            name: format!("{prefix}_{}_g{gi}", kernel.label()),
+            kernel,
+            spec,
+            stream: plan.stream_for(gi),
+            block_threads: spec.block_threads,
+            rows,
+            caps: match kernel {
+                GroupKernel::Global => {
+                    rows.iter().map(|&r| phase.table_size_for(r as usize)).collect()
                 }
-                gpu.launch(
-                    KernelDesc::new(
-                        format!("symbolic_esc_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        spec.shared_bytes,
-                    ),
-                    blocks,
-                )?;
-            }
-            // Merge rows fold B-rows into a global sorted accumulator —
-            // they skip both the doomed shared attempt and the global
-            // hash fallback entirely.
-            Assignment::TbRowGlobal if spec.algorithm == AlgorithmChoice::Merge => {
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let s = merge_symbolic_row(a, b, r as usize, &mut scratch);
-                    nnz_row[r as usize] = s.nnz;
-                    blocks.push(merge_block_cost(gpu, &s, None));
-                }
-                gpu.launch(
-                    KernelDesc::new(format!("symbolic_merge_g{gi}"), stream, spec.block_threads, 0),
-                    blocks,
-                )?;
-            }
-            Assignment::TbRow | Assignment::TbRowGlobal => {
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let s = tb_symbolic_row(a, b, r as usize, spec.table_size, &mut table);
-                    total_probes += s.probes;
-                    if s.overflowed {
-                        count_overflow.push(r);
-                    } else {
-                        nnz_row[r as usize] = s.nnz;
-                    }
-                    blocks.push(tb_block_cost(gpu, spec, &s, None));
-                }
-                gpu.launch(
-                    KernelDesc::new(
-                        format!("symbolic_tb_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        spec.shared_bytes,
-                    ),
-                    blocks,
-                )?;
-            }
-            Assignment::Pwarp { width } => {
-                let rows_per_block = count.groups.pwarp_rows_per_block();
-                let mut blocks = Vec::with_capacity(rows.len().div_ceil(rows_per_block));
-                for chunk in rows.chunks(rows_per_block) {
-                    let stats: Vec<PwarpRowStats> = chunk
-                        .iter()
-                        .map(|&r| {
-                            pwarp_row(
-                                a,
-                                b,
-                                r as usize,
-                                width,
-                                spec.table_size,
-                                &mut table,
-                                false,
-                                None,
-                            )
-                        })
-                        .collect();
-                    for (&r, s) in chunk.iter().zip(&stats) {
-                        // A sampled under-estimate can misplace a fat row
-                        // into PWARP; it funnels into the global pass.
-                        if s.overflowed {
-                            count_overflow.push(r);
-                        } else {
-                            nnz_row[r as usize] = s.nnz;
-                        }
-                    }
-                    total_probes += stats.iter().map(|s| s.probes).sum::<u64>();
-                    blocks.push(pwarp_block_cost(gpu, spec, width, &stats, None));
-                }
-                gpu.launch(
-                    KernelDesc::new(
-                        format!("symbolic_pwarp_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        spec.shared_bytes,
-                    ),
-                    blocks,
-                )?;
-            }
-        }
-        drain_probe_stats(gpu, &mut table, "count", gi);
+                _ => Vec::new(),
+            },
+            scratch: match kernel {
+                GroupKernel::Global => Some("numeric_global_tables"),
+                GroupKernel::Merge if numeric => Some("numeric_merge_buffers"),
+                _ => None,
+            },
+            rows_per_block: match kernel {
+                GroupKernel::Pwarp { .. } => phase.groups.pwarp_rows_per_block(),
+                _ => 1,
+            },
+        };
+        overflow.extend(launch_rows(gpu, a, b, &mut ws, launch, out, &mut run)?);
+        drain_probe_stats(gpu, &mut ws.table, label, gi);
+    }
+    if numeric && !overflow.is_empty() {
+        // Reported once every group's device buffers are released.
+        return Err(Error::invariant("a numeric row did not match its symbolic nnz"));
+    }
+    if numeric || overflow.is_empty() {
+        return Ok(run);
     }
     // Second pass for rows whose table overflowed shared memory:
     // per-row global tables sized from their intermediate products.
-    let mut replans = 0u64;
-    if !count_overflow.is_empty() {
-        // Capacities up front (the `?` must run before the malloc).
-        let mut caps = Vec::with_capacity(count_overflow.len());
-        for &r in &count_overflow {
-            caps.push(
-                global_table_size_checked(nprod[r as usize])
-                    .ok_or_else(|| overflow_err("global hash-table size"))?,
-            );
-        }
-        let table_bytes: u64 = caps.iter().map(|&c| DEVICE_INDEX_BYTES * c as u64).sum();
-        let gt = gpu.malloc(table_bytes, "count_global_tables")?;
-        // From here the table must be freed on *every* exit — an
-        // injected memset/launch fault must not leak it.
-        let memset_res = primitives::memset(gpu, DEFAULT_STREAM, table_bytes);
-        if memset_res.is_ok() {
-            gpu.san_note_memset(gt, 0, table_bytes);
-        }
-        let mut blocks = Vec::with_capacity(count_overflow.len());
-        let mut replan_rows: Vec<u32> = Vec::new();
-        for (&r, &cap) in count_overflow.iter().zip(&caps) {
-            let s = tb_symbolic_row(a, b, r as usize, cap, &mut table);
-            total_probes += s.probes;
-            if s.overflowed {
-                // Only possible when `cap` came from a sampled estimate
-                // that under-shot the row's true products.
-                replan_rows.push(r);
-            } else {
-                nnz_row[r as usize] = s.nnz;
-            }
-            blocks.push(tb_global_block_cost(gpu, &s, cap, None));
-        }
-        let launch_res = memset_res.and_then(|()| {
-            gpu.launch(
-                KernelDesc::new(
-                    "symbolic_global",
-                    DEFAULT_STREAM,
-                    gpu.config().max_threads_per_block,
-                    0,
-                )
-                .reading(gt, 0, table_bytes)
-                .writing(gt, 0, table_bytes),
-                blocks,
-            )
-        });
-        gpu.free(gt); // synchronizes; table only lives through the pass
-        launch_res?;
-        // The second pass re-runs group-0 rows with global tables.
-        drain_probe_stats(gpu, &mut table, "count", 0);
-
-        // Third pass (DESIGN.md §16's replan contract): recount the
-        // under-estimated rows with tables sized from *exact* products.
-        // An exact cap is ≥ 2 × the row's true products ≥ its nnz, so
-        // this pass cannot overflow — at most one replan per row.
-        if !replan_rows.is_empty() {
-            if !plan.opts.estimator.is_sampled() {
-                return Err(Error::invariant(
-                    "exact-estimator symbolic table overflowed its global capacity",
-                ));
-            }
-            replans = replan_rows.len() as u64;
-            let mut exact_caps = Vec::with_capacity(replan_rows.len());
-            for &r in &replan_rows {
-                let prod = exact_row_products(a, b, r as usize);
-                exact_caps.push(
-                    global_table_size_checked(prod)
-                        .ok_or_else(|| overflow_err("global hash-table size"))?,
-                );
-            }
-            let replan_bytes: u64 = exact_caps.iter().map(|&c| DEVICE_INDEX_BYTES * c as u64).sum();
-            let gt = gpu.malloc(replan_bytes, "replan_global_tables")?;
-            let memset_res = primitives::memset(gpu, DEFAULT_STREAM, replan_bytes);
-            if memset_res.is_ok() {
-                gpu.san_note_memset(gt, 0, replan_bytes);
-            }
-            let mut blocks = Vec::with_capacity(replan_rows.len());
-            let mut replan_overflowed = false;
-            for (&r, &cap) in replan_rows.iter().zip(&exact_caps) {
-                let s = tb_symbolic_row(a, b, r as usize, cap, &mut table);
-                total_probes += s.probes;
-                replan_overflowed |= s.overflowed;
-                nnz_row[r as usize] = s.nnz;
-                blocks.push(tb_global_block_cost(gpu, &s, cap, None));
-            }
-            let launch_res = memset_res.and_then(|()| {
-                gpu.launch(
-                    KernelDesc::new(
-                        "symbolic_replan",
-                        DEFAULT_STREAM,
-                        gpu.config().max_threads_per_block,
-                        0,
-                    )
-                    .reading(gt, 0, replan_bytes)
-                    .writing(gt, 0, replan_bytes),
-                    blocks,
-                )
-            });
-            gpu.free(gt);
-            launch_res?;
-            if replan_overflowed {
-                return Err(Error::invariant("exact-cap replan table overflowed"));
-            }
-            drain_probe_stats(gpu, &mut table, "count", 0);
-            if let Some(t) = gpu.telemetry_mut() {
-                t.emit(obs::Event::new("replan").str("phase", "count").u64("rows", replans));
-            }
-        }
+    let caps = overflow.iter().map(|&r| global_table_size_checked(phase.metric[r as usize]));
+    let caps = caps.collect::<Option<_>>().ok_or_else(|| overflow_err("global hash-table size"))?;
+    let pass =
+        Launch::global(gpu, "symbolic_global", "count_global_tables", phase, &overflow, caps);
+    let replan_rows = launch_rows(gpu, a, b, &mut ws, pass, None, &mut run)?;
+    drain_probe_stats(gpu, &mut ws.table, "count", 0);
+    if replan_rows.is_empty() {
+        return Ok(run);
     }
-    Ok((nnz_row, total_probes, replans))
+    // Third pass (DESIGN.md §16's replan contract): recount the rows
+    // whose global table came from a sampled estimate that under-shot
+    // their true products, with tables sized from *exact* products. An
+    // exact cap is ≥ 2 × the row's true products ≥ its nnz, so this
+    // pass cannot overflow — at most one replan per row.
+    if !plan.opts.estimator.is_sampled() {
+        return Err(Error::invariant(
+            "exact-estimator symbolic table overflowed its global capacity",
+        ));
+    }
+    run.replans = replan_rows.len() as u64;
+    let caps = replan_rows
+        .iter()
+        .map(|&r| global_table_size_checked(exact_row_products(a, b, r as usize)));
+    let caps = caps.collect::<Option<_>>().ok_or_else(|| overflow_err("global hash-table size"))?;
+    let pass =
+        Launch::global(gpu, "symbolic_replan", "replan_global_tables", phase, &replan_rows, caps);
+    if !launch_rows(gpu, a, b, &mut ws, pass, None, &mut run)?.is_empty() {
+        return Err(Error::invariant("exact-cap replan table overflowed"));
+    }
+    drain_probe_stats(gpu, &mut ws.table, "count", 0);
+    if let Some(t) = gpu.telemetry_mut() {
+        t.emit(obs::Event::new("replan").str("phase", "count").u64("rows", run.replans));
+    }
+    Ok(run)
 }
 
-/// The numeric (calc) phase: regroup rows by output nnz via the plan,
-/// run the per-group value kernels (shared, global and PWARP variants),
-/// producing the output column/value arrays plus the total hash-probe
-/// steps observed. The caller sets the device phase.
-pub(crate) fn run_numeric<T: Scalar>(
+/// The kernel one sim launch runs over its rows; with the phase it
+/// names the launch and prices its blocks.
+#[derive(Debug, Clone, Copy)]
+enum GroupKernel {
+    /// ESC rows expand into shared memory and sort — no table, no
+    /// overflow, exact counts on the first pass.
+    Esc,
+    /// Merge rows fold B-rows into a sorted accumulator in global
+    /// memory, skipping both the doomed shared attempt and the global
+    /// hash tables.
+    Merge,
+    /// TB/ROW hash rows on the group's shared table (group 0's first
+    /// attempt in the count phase).
+    Tb,
+    /// TB/ROW hash rows on per-row global tables.
+    Global,
+    /// PWARP/ROW hash rows, several to a block.
+    Pwarp { width: usize },
+}
+
+impl GroupKernel {
+    /// The kernel a group runs in a phase: its algorithm, and for hash
+    /// groups its thread assignment. Group 0's hash rows try the shared
+    /// table first in the count phase; in the numeric phase their exact
+    /// nnz sizes a global table straight away.
+    fn of(spec: &GroupSpec, numeric: bool) -> Self {
+        match (spec.algorithm, spec.assignment) {
+            (AlgorithmChoice::Esc, _) => GroupKernel::Esc,
+            (AlgorithmChoice::Merge, _) => GroupKernel::Merge,
+            (AlgorithmChoice::Hash, Assignment::Pwarp { width }) => GroupKernel::Pwarp { width },
+            (AlgorithmChoice::Hash, Assignment::TbRowGlobal) if numeric => GroupKernel::Global,
+            (AlgorithmChoice::Hash, _) => GroupKernel::Tb,
+        }
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            GroupKernel::Esc => "esc",
+            GroupKernel::Merge => "merge",
+            GroupKernel::Tb => "tb",
+            GroupKernel::Global => "global",
+            GroupKernel::Pwarp { .. } => "pwarp",
+        }
+    }
+}
+
+/// One kernel launch over a set of rows.
+struct Launch<'p> {
+    name: String,
+    kernel: GroupKernel,
+    /// The group whose launch shape and table size the rows use.
+    spec: &'p GroupSpec,
+    stream: StreamId,
+    block_threads: usize,
+    rows: &'p [u32],
+    /// Per-row table capacity of a `Global` launch (empty otherwise).
+    caps: Vec<usize>,
+    /// Device tag of the launch's global scratch: the `Global` kernel's
+    /// tables, or the numeric merge's ping-pong accumulators.
+    scratch: Option<&'static str>,
+    rows_per_block: usize,
+}
+
+impl<'p> Launch<'p> {
+    /// A count-phase pass over `rows` with per-row global tables of
+    /// `caps` slots, on the default stream at the device's maximum
+    /// block size.
+    fn global(
+        gpu: &Gpu,
+        name: &str,
+        tag: &'static str,
+        phase: &'p PhasePlan,
+        rows: &'p [u32],
+        caps: Vec<usize>,
+    ) -> Self {
+        Launch {
+            name: name.to_string(),
+            kernel: GroupKernel::Global,
+            spec: &phase.groups.groups[0],
+            stream: DEFAULT_STREAM,
+            block_threads: gpu.config().max_threads_per_block,
+            rows,
+            caps,
+            scratch: Some(tag),
+            rows_per_block: 1,
+        }
+    }
+}
+
+/// Run one launch: every row through its kernel — numeric rows into
+/// `run`'s output at `out`'s row pointer, symbolic counts into
+/// `run.nnz_row` — then the launch itself, inside a malloc → memset →
+/// launch → free of its global scratch when it has one. Returns the
+/// rows whose kernel overflowed.
+fn launch_rows<T: Scalar>(
     gpu: &mut Gpu,
     a: &Csr<T>,
     b: &Csr<T>,
-    plan: &SpgemmPlan,
-    nnz_row: &[u32],
-    rpt_c: &[usize],
-    d_c: Option<MemRange>,
-) -> Result<(Vec<u32>, Vec<T>, u64)> {
-    let m = a.rows();
-    let nnz_c = rpt_c.last().copied().unwrap_or(0);
-    let mut table = HashTable::<T>::new(1024, plan.opts.use_mul_hash);
-    table.observe_probes(gpu.telemetry_enabled());
-    let mut scratch = RowAlgScratch::<T>::new();
-    let mut total_probes = 0u64;
-    // Set when a row does not fill the slice its symbolic nnz sized;
-    // reported once every group's device buffers are released.
-    let mut misfit = false;
-    let numeric: PhasePlan = plan.numeric_phase(nnz_row)?;
-    emit_group_summary(gpu, &numeric.groups, &numeric.metric, "calc");
-    grouping_kernel(gpu, m, None)?;
-    // Each numeric group kernel scatters into its rows' slice of C;
-    // annotating the whole output range per launch is coarse but sound
-    // (writes only mark initialization, they cannot false-positive).
-    let write_c = |desc: KernelDesc| match d_c {
-        Some(c) => desc.writing(c.id, c.offset, c.len),
-        None => desc,
+    ws: &mut RowWorkspace<T>,
+    l: Launch<'_>,
+    out: Option<(&[usize], MemRange)>,
+    run: &mut PhaseRun<T>,
+) -> Result<Vec<u32>> {
+    let vb = out.is_some().then_some(T::BYTES);
+    let mut overflowed = Vec::new();
+    let mut blocks = Vec::with_capacity(l.rows.len().div_ceil(l.rows_per_block));
+    let mut stats = Vec::with_capacity(l.rows_per_block);
+    for (bi, chunk) in l.rows.chunks(l.rows_per_block).enumerate() {
+        stats.clear();
+        for &r in chunk {
+            let kind = match l.kernel {
+                GroupKernel::Esc => RowKind::Esc,
+                GroupKernel::Merge => RowKind::Merge,
+                GroupKernel::Tb => RowKind::Hash { cap: l.spec.table_size },
+                GroupKernel::Global => RowKind::Hash { cap: l.caps[bi] },
+                GroupKernel::Pwarp { width } => RowKind::Pwarp { width, cap: l.spec.table_size },
+            };
+            let r = r as usize;
+            let row_out = out.map(|(rpt, _)| {
+                let span = rpt[r]..rpt[r + 1];
+                (&mut run.col[span.clone()], &mut run.val[span])
+            });
+            let s = row_kernel(kind, a, b, r, ws, row_out);
+            run.probes += s.probes;
+            if s.overflowed {
+                overflowed.push(r as u32);
+            } else if out.is_none() {
+                run.nnz_row[r] = s.nnz;
+            }
+            stats.push(s);
+        }
+        blocks.push(match l.kernel {
+            GroupKernel::Esc => esc_block_cost(gpu, l.spec.block_threads, &stats[0], vb),
+            GroupKernel::Merge => merge_block_cost(gpu, &stats[0], vb),
+            GroupKernel::Tb => tb_block_cost(gpu, l.spec, &stats[0], vb),
+            GroupKernel::Global => tb_global_block_cost(gpu, &stats[0], l.caps[bi], vb),
+            GroupKernel::Pwarp { width } => pwarp_block_cost(gpu, l.spec, width, &stats, vb),
+        });
+    }
+    let shared = match l.kernel {
+        GroupKernel::Merge | GroupKernel::Global => 0,
+        _ => l.spec.shared_bytes,
     };
+    let mut desc = KernelDesc::new(l.name, l.stream, l.block_threads, shared);
+    if let Some((_, c)) = out {
+        // Each numeric kernel scatters into its rows' slice of C;
+        // annotating the whole output range per launch is coarse but
+        // sound (writes only mark initialization, they cannot
+        // false-positive).
+        desc = desc.writing(c.id, c.offset, c.len);
+    }
+    let Some(tag) = l.scratch else {
+        gpu.launch(desc, blocks)?;
+        return Ok(overflowed);
+    };
+    let entry = DEVICE_INDEX_BYTES + vb.unwrap_or(0) as u64;
+    let bytes: u64 = match (l.kernel, out) {
+        // Ping-pong accumulators sized from the rows' exact output nnz.
+        (GroupKernel::Merge, Some((rpt, _))) => {
+            l.rows.iter().map(|&r| entry * 2 * (rpt[r as usize + 1] - rpt[r as usize]) as u64).sum()
+        }
+        _ => l.caps.iter().map(|&cap| entry * cap as u64).sum(),
+    };
+    let zeroed = matches!(l.kernel, GroupKernel::Global);
+    launch_with_scratch(gpu, desc, blocks, tag, bytes, zeroed)?;
+    Ok(overflowed)
+}
 
-    let mut col_c = vec![0u32; nnz_c];
-    let mut val_c = vec![T::ZERO; nnz_c];
-    for (gi, spec) in numeric.groups.groups.iter().enumerate() {
-        let rows = &numeric.rows_by_group[gi];
-        if rows.is_empty() {
-            continue;
+/// Launch `desc` around a device scratch buffer of `bytes` that lives
+/// only through the launch: malloc → memset (when `zeroed`) → launch →
+/// free. The buffer is freed on every exit, so an injected memset or
+/// launch fault cannot leak it.
+fn launch_with_scratch(
+    gpu: &mut Gpu,
+    mut desc: KernelDesc,
+    blocks: Vec<BlockCost>,
+    tag: &str,
+    bytes: u64,
+    zeroed: bool,
+) -> Result<()> {
+    let buf = gpu.malloc(bytes, tag)?;
+    let mut res = Ok(());
+    if zeroed {
+        res = primitives::memset(gpu, desc.stream, bytes);
+        if res.is_ok() {
+            gpu.san_note_memset(buf, 0, bytes);
         }
-        let stream = plan.stream_for(gi);
-        match spec.assignment {
-            Assignment::TbRow if spec.algorithm == AlgorithmChoice::Esc => {
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                    let want = span.len();
-                    let s = esc_numeric_row(
-                        a,
-                        b,
-                        r as usize,
-                        &mut scratch,
-                        &mut col_c[span.clone()],
-                        &mut val_c[span],
-                    );
-                    misfit |= s.nnz as usize != want;
-                    blocks.push(esc_block_cost(gpu, spec.block_threads, &s, Some(T::BYTES)));
-                }
-                gpu.launch(
-                    write_c(KernelDesc::new(
-                        format!("numeric_esc_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        spec.shared_bytes,
-                    )),
-                    blocks,
-                )?;
-            }
-            Assignment::TbRowGlobal if spec.algorithm == AlgorithmChoice::Merge => {
-                // Ping-pong accumulator buffers in global memory, sized
-                // from the (exact) output nnz of the group's rows.
-                let buf_bytes: u64 = rows
-                    .iter()
-                    .map(|&r| {
-                        (DEVICE_INDEX_BYTES + T::BYTES as u64) * 2 * nnz_row[r as usize] as u64
-                    })
-                    .sum();
-                let gt = gpu.malloc(buf_bytes, "numeric_merge_buffers")?;
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                    let want = span.len();
-                    let s = merge_numeric_row(
-                        a,
-                        b,
-                        r as usize,
-                        &mut scratch,
-                        &mut col_c[span.clone()],
-                        &mut val_c[span],
-                    );
-                    misfit |= s.nnz as usize != want;
-                    blocks.push(merge_block_cost(gpu, &s, Some(T::BYTES)));
-                }
-                let launch_res = gpu.launch(
-                    write_c(KernelDesc::new(
-                        format!("numeric_merge_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        0,
-                    ))
-                    .writing(gt, 0, buf_bytes),
-                    blocks,
-                );
-                gpu.free(gt);
-                launch_res?;
-            }
-            Assignment::TbRow => {
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                    let s = tb_numeric_row(
-                        a,
-                        b,
-                        r as usize,
-                        spec.table_size,
-                        &mut table,
-                        &mut col_c[span.clone()],
-                        &mut val_c[span],
-                    );
-                    total_probes += s.probes;
-                    misfit |= s.overflowed;
-                    blocks.push(tb_block_cost(gpu, spec, &s, Some(T::BYTES)));
-                }
-                gpu.launch(
-                    write_c(KernelDesc::new(
-                        format!("numeric_tb_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        spec.shared_bytes,
-                    )),
-                    blocks,
-                )?;
-            }
-            Assignment::TbRowGlobal => {
-                // The numeric metric is the exact symbolic nnz, so the
-                // checked size was validated at phase construction.
-                let table_bytes: u64 = rows
-                    .iter()
-                    .map(|&r| {
-                        (DEVICE_INDEX_BYTES + T::BYTES as u64)
-                            * numeric.table_size_for(r as usize) as u64
-                    })
-                    .sum();
-                let gt = gpu.malloc(table_bytes, "numeric_global_tables")?;
-                // As in the count phase: free the table on every exit
-                // so injected faults cannot leak it.
-                let memset_res = primitives::memset(gpu, stream, table_bytes);
-                if memset_res.is_ok() {
-                    gpu.san_note_memset(gt, 0, table_bytes);
-                }
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let cap = numeric.table_size_for(r as usize);
-                    let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                    let s = tb_numeric_row(
-                        a,
-                        b,
-                        r as usize,
-                        cap,
-                        &mut table,
-                        &mut col_c[span.clone()],
-                        &mut val_c[span],
-                    );
-                    total_probes += s.probes;
-                    misfit |= s.overflowed;
-                    blocks.push(tb_global_block_cost(gpu, &s, cap, Some(T::BYTES)));
-                }
-                let launch_res = memset_res.and_then(|()| {
-                    gpu.launch(
-                        write_c(KernelDesc::new(
-                            format!("numeric_global_g{gi}"),
-                            stream,
-                            spec.block_threads,
-                            0,
-                        ))
-                        .reading(gt, 0, table_bytes)
-                        .writing(gt, 0, table_bytes),
-                        blocks,
-                    )
-                });
-                gpu.free(gt);
-                launch_res?;
-            }
-            Assignment::Pwarp { width } => {
-                let rows_per_block = numeric.groups.pwarp_rows_per_block();
-                let mut blocks = Vec::with_capacity(rows.len().div_ceil(rows_per_block));
-                for chunk in rows.chunks(rows_per_block) {
-                    let stats: Vec<PwarpRowStats> = chunk
-                        .iter()
-                        .map(|&r| {
-                            let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                            let (cslice, vslice) = (
-                                &mut col_c[span.clone()] as *mut [u32],
-                                &mut val_c[span] as *mut [T],
-                            );
-                            // SAFETY: spans of distinct rows never overlap.
-                            let (cslice, vslice) = unsafe { (&mut *cslice, &mut *vslice) };
-                            pwarp_row(
-                                a,
-                                b,
-                                r as usize,
-                                width,
-                                spec.table_size,
-                                &mut table,
-                                true,
-                                Some((cslice, vslice)),
-                            )
-                        })
-                        .collect();
-                    total_probes += stats.iter().map(|s| s.probes).sum::<u64>();
-                    misfit |= stats.iter().any(|s| s.overflowed);
-                    blocks.push(pwarp_block_cost(gpu, spec, width, &stats, Some(T::BYTES)));
-                }
-                gpu.launch(
-                    write_c(KernelDesc::new(
-                        format!("numeric_pwarp_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        spec.shared_bytes,
-                    )),
-                    blocks,
-                )?;
-            }
-        }
-        drain_probe_stats(gpu, &mut table, "calc", gi);
+        desc = desc.reading(buf, 0, bytes);
     }
-    if misfit {
-        return Err(Error::invariant("a numeric row did not match its symbolic nnz"));
-    }
-    Ok((col_c, val_c, total_probes))
+    let res = res.and_then(|()| gpu.launch(desc.writing(buf, 0, bytes), blocks));
+    gpu.free(buf); // synchronizes; the buffer only lives through the launch
+    Ok(res?)
 }
 
 /// Drain the hash table's probe observer into the device telemetry
