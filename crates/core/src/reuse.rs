@@ -11,17 +11,17 @@
 //! belongs to the backend-neutral plan in [`crate::plan`]) captures
 //! everything the numeric phase needs: the backend-neutral plan, the
 //! symbolic result (output row pointer, per-row nnz) and the options.
-//! `execute` then runs only the output `cudaMalloc` + numeric kernels on
-//! the simulated device — the same split [`crate::Executor`] draws,
-//! promoted to a cacheable object. A fingerprint of both input patterns
-//! guards against executing a plan on matrices it was not built for.
+//! [`SymbolicPlan::execute_with`] then runs only the output malloc +
+//! numeric phase on any [`crate::Executor`] — the same split the
+//! executor draws, promoted to a cacheable object. A fingerprint of
+//! both input patterns guards against executing a plan on matrices it
+//! was not built for.
 
 use crate::exec::{Execution, Executor, SymbolicOutput};
 use crate::pipeline::{Error, Options, Result};
 use crate::plan::SpgemmPlan;
-use crate::sim::SimExecutor;
 use sparse::{Csr, Scalar};
-use vgpu::{Gpu, SimTime, SpgemmReport};
+use vgpu::SimTime;
 
 /// FNV-1a over the structural arrays of a matrix (pattern only — values
 /// are free to change between plan and execute). Public because the
@@ -51,54 +51,38 @@ pub struct SymbolicPlan<T> {
     fingerprint_a: u64,
     fingerprint_b: u64,
     symbolic: SymbolicOutput,
-    /// Simulated time spent building the plan (setup + count phases).
+    /// Simulated time spent building the plan (the count phase); zero
+    /// on backends without a simulated clock.
     pub plan_time: SimTime,
-    /// Hash-probe steps spent in the planning (count) phase.
-    pub plan_hash_probes: u64,
     _marker: std::marker::PhantomData<T>,
 }
 
 impl<T: Scalar> SymbolicPlan<T> {
-    /// Build a plan by running the setup and count phases on the device
-    /// (their time is charged and reported in [`SymbolicPlan::plan_time`]).
-    pub fn new(gpu: &mut Gpu, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Self> {
-        let t0 = gpu.elapsed();
-        let mut exec = SimExecutor::new(gpu);
-        let plan = Executor::<T>::plan(&exec, a, b, opts)?;
-        let symbolic = exec.execute_symbolic(&plan, a, b)?;
-        let plan_hash_probes = symbolic.hash_probes;
-        Ok(SymbolicPlan {
-            plan,
-            fingerprint_a: pattern_fingerprint(a),
-            fingerprint_b: pattern_fingerprint(b),
-            symbolic,
-            plan_time: gpu.elapsed() - t0,
-            plan_hash_probes,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
     /// Build a plan through *any* executor — the backend-neutral form
     /// the engine's plan cache uses, so a cached symbolic result can be
     /// produced by (and later replayed on) the sim or host backend
-    /// alike. `plan_time` is zero here: wall-clock backends do not
-    /// charge simulated time.
+    /// alike. `plan_time` is the simulated time the symbolic phase
+    /// charged ([`Executor::device_elapsed_us`]); wall-clock backends
+    /// charge none.
     pub fn from_executor<E: Executor<T>>(
         exec: &mut E,
         a: &Csr<T>,
         b: &Csr<T>,
         opts: &Options,
     ) -> Result<Self> {
+        let t0 = exec.device_elapsed_us();
         let plan = exec.plan(a, b, opts)?;
         let symbolic = exec.execute_symbolic(&plan, a, b)?;
-        let plan_hash_probes = symbolic.hash_probes;
+        let plan_time = match (t0, exec.device_elapsed_us()) {
+            (Some(t0), Some(t1)) => SimTime::from_us(t1 - t0),
+            _ => SimTime::ZERO,
+        };
         Ok(SymbolicPlan {
             plan,
             fingerprint_a: pattern_fingerprint(a),
             fingerprint_b: pattern_fingerprint(b),
             symbolic,
-            plan_time: SimTime::ZERO,
-            plan_hash_probes,
+            plan_time,
             _marker: std::marker::PhantomData,
         })
     }
@@ -123,9 +107,16 @@ impl<T: Scalar> SymbolicPlan<T> {
         (self.fingerprint_a, self.fingerprint_b)
     }
 
-    /// Guard shared by every execution path: the matrices must carry the
-    /// planned patterns (values are free to differ).
-    fn check_patterns(&self, a: &Csr<T>, b: &Csr<T>) -> Result<()> {
+    /// Execute the numeric phase on *any* executor — the cache-hit path
+    /// of the engine: the symbolic phase is skipped entirely, only
+    /// output malloc + calc run on the backend. The matrices must carry
+    /// the planned patterns (values are free to differ).
+    pub fn execute_with<E: Executor<T>>(
+        &self,
+        exec: &mut E,
+        a: &Csr<T>,
+        b: &Csr<T>,
+    ) -> Result<Execution<T>> {
         if pattern_fingerprint(a) != self.fingerprint_a
             || pattern_fingerprint(b) != self.fingerprint_b
         {
@@ -133,19 +124,6 @@ impl<T: Scalar> SymbolicPlan<T> {
                 "matrix pattern differs from the planned pattern".into(),
             )));
         }
-        Ok(())
-    }
-
-    /// Execute the numeric phase on *any* executor — the cache-hit path
-    /// of the engine: the symbolic phase is skipped entirely, only
-    /// output malloc + calc run on the backend.
-    pub fn execute_with<E: Executor<T>>(
-        &self,
-        exec: &mut E,
-        a: &Csr<T>,
-        b: &Csr<T>,
-    ) -> Result<Execution<T>> {
-        self.check_patterns(a, b)?;
         exec.execute_numeric(&self.plan, &self.symbolic, a, b)
     }
 
@@ -153,22 +131,14 @@ impl<T: Scalar> SymbolicPlan<T> {
     pub fn output_rpt(&self) -> &[usize] {
         &self.symbolic.rpt
     }
-
-    /// Execute the numeric phase for matrices with the planned patterns
-    /// (values may differ from the planning call). Only output-malloc
-    /// and calc time is spent — the point of reusing the plan.
-    pub fn execute(&self, gpu: &mut Gpu, a: &Csr<T>, b: &Csr<T>) -> Result<(Csr<T>, SpgemmReport)> {
-        let mut exec = SimExecutor::new(gpu);
-        let run = self.execute_with(&mut exec, a, b)?;
-        Ok((run.matrix, run.report))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SimExecutor;
     use sparse::spgemm_ref::spgemm_gustavson;
-    use vgpu::{DeviceConfig, Phase};
+    use vgpu::{DeviceConfig, Gpu, Phase};
 
     fn mats(n: usize, seed: u64) -> Csr<f64> {
         let mut s = seed;
@@ -186,12 +156,14 @@ mod tests {
     fn planned_execution_matches_direct_multiply() {
         let a = mats(400, 3);
         let mut gpu = Gpu::new(DeviceConfig::p100());
-        let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
-        let (c, report) = plan.execute(&mut gpu, &a, &a).unwrap();
+        let mut sim = SimExecutor::new(&mut gpu);
+        let plan = SymbolicPlan::from_executor(&mut sim, &a, &a, &Options::default()).unwrap();
+        let run = plan.execute_with(&mut sim, &a, &a).unwrap();
         let c_ref = spgemm_gustavson(&a, &a).unwrap();
-        assert_eq!(c, c_ref);
+        assert_eq!(run.matrix, c_ref);
         assert_eq!(plan.output_nnz(), c_ref.nnz());
-        assert!(report.total_time > SimTime::ZERO);
+        assert!(plan.plan_time > SimTime::ZERO);
+        assert!(run.report.total_time > SimTime::ZERO);
         assert_eq!(gpu.live_mem_bytes(), 0);
     }
 
@@ -200,8 +172,9 @@ mod tests {
         let a = mats(2000, 7);
         let mut gpu = Gpu::new(DeviceConfig::p100());
         let (_, full) = crate::multiply(&mut gpu, &a, &a, &Options::default()).unwrap();
-        let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
-        let (_, planned) = plan.execute(&mut gpu, &a, &a).unwrap();
+        let mut sim = SimExecutor::new(&mut gpu);
+        let plan = SymbolicPlan::from_executor(&mut sim, &a, &a, &Options::default()).unwrap();
+        let planned = plan.execute_with(&mut sim, &a, &a).unwrap().report;
         assert!(
             planned.total_time < full.total_time,
             "planned {} vs full {}",
@@ -217,14 +190,15 @@ mod tests {
     fn values_may_change_pattern_may_not() {
         let a = mats(300, 11);
         let mut gpu = Gpu::new(DeviceConfig::p100());
-        let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
+        let mut sim = SimExecutor::new(&mut gpu);
+        let plan = SymbolicPlan::from_executor(&mut sim, &a, &a, &Options::default()).unwrap();
         // Same pattern, scaled values: fine.
         let a2 = a.scaled(3.0);
-        let (c, _) = plan.execute(&mut gpu, &a2, &a2).unwrap();
+        let c = plan.execute_with(&mut sim, &a2, &a2).unwrap().matrix;
         assert_eq!(c, spgemm_gustavson(&a2, &a2).unwrap());
         // Different pattern: rejected.
         let other = mats(300, 12);
-        assert!(plan.execute(&mut gpu, &other, &other).is_err());
+        assert!(plan.execute_with(&mut sim, &other, &other).is_err());
     }
 
     #[test]
@@ -235,6 +209,8 @@ mod tests {
         let a = mats(350, 9);
         let mut host = crate::HostParallelExecutor::new(2);
         let plan = SymbolicPlan::from_executor(&mut host, &a, &a, &Options::default()).unwrap();
+        // No simulated clock on the host: planning charges nothing.
+        assert_eq!(plan.plan_time, SimTime::ZERO);
         let a2 = a.scaled(2.5);
         let hit = plan.execute_with(&mut host, &a2, &a2).unwrap();
         let cold =
@@ -252,10 +228,12 @@ mod tests {
     fn repeated_execution_is_stable() {
         let a = mats(500, 5);
         let mut gpu = Gpu::new(DeviceConfig::p100());
-        let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
-        let (c1, r1) = plan.execute(&mut gpu, &a, &a).unwrap();
-        let (c2, r2) = plan.execute(&mut gpu, &a, &a).unwrap();
-        assert_eq!(c1, c2);
-        assert_eq!(r1.total_time.secs().to_bits(), r2.total_time.secs().to_bits());
+        let mut sim = SimExecutor::new(&mut gpu);
+        let plan = SymbolicPlan::from_executor(&mut sim, &a, &a, &Options::default()).unwrap();
+        let r1 = plan.execute_with(&mut sim, &a, &a).unwrap();
+        let r2 = plan.execute_with(&mut sim, &a, &a).unwrap();
+        assert_eq!(r1.matrix, r2.matrix);
+        let t = |r: &Execution<f64>| r.report.total_time.secs().to_bits();
+        assert_eq!(t(&r1), t(&r2));
     }
 }

@@ -32,13 +32,13 @@ fn main() {
         full_total += r.total_time;
     }
     // Planned: one symbolic pass, numeric-only afterwards.
-    let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
+    let mut sim = SimExecutor::new(&mut gpu);
+    let plan = SymbolicPlan::from_executor(&mut sim, &a, &a, &Options::default()).unwrap();
     let mut planned_total = plan.plan_time;
     for i in 0..repeats {
         // Values change between applications; the pattern does not.
         let a_i = a.scaled(1.0 + i as f32 * 0.125);
-        let (_, r) = plan.execute(&mut gpu, &a_i, &a_i).unwrap();
-        planned_total += r.total_time;
+        planned_total += plan.execute_with(&mut sim, &a_i, &a_i).unwrap().report.total_time;
     }
     println!("\nfull multiply x{repeats}        : {full_total}");
     println!("plan once + numeric x{repeats} : {planned_total} (plan itself: {})", plan.plan_time);
