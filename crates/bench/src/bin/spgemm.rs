@@ -13,11 +13,10 @@
 //! optionally writes the result and a chrome://tracing timeline.
 
 use baselines::Algorithm;
-use nsparse_core::{
-    AlgorithmPolicy, Backend, BatchedExecutor, Estimator, Executor, HostParallelExecutor, Options,
-};
+use bench::runargs::RunArgs;
+use nsparse_core::{Backend, BatchedExecutor, Executor, HostParallelExecutor};
 use sparse::{Csr, Scalar};
-use vgpu::{DeviceConfig, FaultPlan, Gpu, Phase};
+use vgpu::{FaultPlan, Gpu, Phase};
 
 /// `--max-device-mem` argument: absolute bytes or a fraction of the
 /// multiply's memory estimate (`0.25x` = a quarter of the forecast).
@@ -43,27 +42,13 @@ fn parse_mem_limit(s: &str) -> Option<MemLimit> {
 }
 
 struct Args {
-    dataset: Option<String>,
-    matrix: Option<String>,
-    algorithm: Algorithm,
+    run: RunArgs,
     backend: Backend,
-    precision: String,
-    device: String,
     trace: Option<String>,
     output: Option<String>,
     include_transfers: bool,
-    tiny: bool,
     max_device_mem: Option<MemLimit>,
     faults: Option<FaultPlan>,
-    estimator: Estimator,
-    policy: AlgorithmPolicy,
-}
-
-impl Args {
-    /// Multiply options for the proposal pipeline, from the planner flags.
-    fn opts(&self) -> Options {
-        Options { estimator: self.estimator, policy: self.policy, ..Options::default() }
-    }
 }
 
 fn usage() -> ! {
@@ -98,79 +83,44 @@ fn usage() -> ! {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        dataset: None,
-        matrix: None,
-        algorithm: Algorithm::Proposal,
+        run: RunArgs::new(usage),
         backend: Backend::Sim,
-        precision: "f32".into(),
-        device: "p100".into(),
         trace: None,
         output: None,
         include_transfers: false,
-        tiny: false,
         max_device_mem: None,
         faults: None,
-        estimator: Estimator::Exact,
-        policy: AlgorithmPolicy::HashOnly,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let value = |it: &mut dyn Iterator<Item = String>| it.next().unwrap_or_else(|| usage());
+        if args.run.parse_flag(&flag, &mut it) {
+            continue;
+        }
+        let mut value = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--dataset" => args.dataset = Some(value(&mut it)),
-            "--matrix" => args.matrix = Some(value(&mut it)),
-            "--algorithm" => {
-                args.algorithm = match value(&mut it).to_ascii_lowercase().as_str() {
-                    "proposal" | "nsparse" => Algorithm::Proposal,
-                    "cusparse" => Algorithm::Cusparse,
-                    "cusp" | "esc" => Algorithm::Cusp,
-                    "bhsparse" => Algorithm::Bhsparse,
-                    other => {
-                        eprintln!("unknown algorithm '{other}'");
-                        usage()
-                    }
-                }
-            }
             "--backend" => {
-                let spec = value(&mut it).to_ascii_lowercase();
+                let spec = value().to_ascii_lowercase();
                 args.backend = Backend::parse(&spec).unwrap_or_else(|| {
                     eprintln!("unknown backend '{spec}' (sim, host, host:N)");
                     usage()
                 });
             }
-            "--precision" => args.precision = value(&mut it).to_ascii_lowercase(),
-            "--device" => args.device = value(&mut it).to_ascii_lowercase(),
-            "--trace" => args.trace = Some(value(&mut it)),
-            "--output" => args.output = Some(value(&mut it)),
+            "--trace" => args.trace = Some(value()),
+            "--output" => args.output = Some(value()),
             "--include-transfers" => args.include_transfers = true,
-            "--tiny" => args.tiny = true,
             "--max-device-mem" => {
-                let spec = value(&mut it);
+                let spec = value();
                 args.max_device_mem = Some(parse_mem_limit(&spec).unwrap_or_else(|| {
                     eprintln!("bad --max-device-mem '{spec}' (e.g. 4G, 256M, 0.25x)");
                     usage()
                 }));
             }
             "--faults" => {
-                let spec = value(&mut it);
+                let spec = value();
                 args.faults = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| {
                     eprintln!("bad --faults '{spec}': {e}");
                     usage()
                 }));
-            }
-            "--estimator" => {
-                let spec = value(&mut it);
-                args.estimator = Estimator::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("bad --estimator '{spec}': {e}");
-                    usage()
-                });
-            }
-            "--policy" => {
-                let spec = value(&mut it);
-                args.policy = AlgorithmPolicy::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("bad --policy '{spec}': {e}");
-                    usage()
-                });
             }
             "--help" | "-h" => usage(),
             other => {
@@ -179,16 +129,10 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.dataset.is_none() == args.matrix.is_none() {
-        eprintln!("exactly one of --dataset / --matrix is required");
-        usage();
-    }
-    if !matches!(args.precision.as_str(), "f32" | "f64") {
-        eprintln!("precision must be f32 or f64");
-        usage();
-    }
+    args.run.validate();
+    let proposal = args.run.algorithm == Algorithm::Proposal;
     if matches!(args.backend, Backend::Host { .. }) {
-        if args.algorithm != Algorithm::Proposal {
+        if !proposal {
             eprintln!("--backend host runs the proposal only (baselines are simulation models)");
             usage();
         }
@@ -201,57 +145,15 @@ fn parse_args() -> Args {
             usage();
         }
     }
-    if (args.max_device_mem.is_some() || args.faults.is_some())
-        && args.algorithm != Algorithm::Proposal
-    {
+    if (args.max_device_mem.is_some() || args.faults.is_some()) && !proposal {
         eprintln!("--max-device-mem / --faults need --algorithm proposal (the batched fallback)");
-        usage();
-    }
-    if (args.estimator != Estimator::Exact || args.policy != AlgorithmPolicy::HashOnly)
-        && args.algorithm != Algorithm::Proposal
-    {
-        eprintln!("--estimator / --policy need --algorithm proposal (baselines plan exactly)");
         usage();
     }
     args
 }
 
-fn device_config(name: &str) -> DeviceConfig {
-    match name {
-        "p100" => DeviceConfig::p100(),
-        "v100" => DeviceConfig::v100(),
-        "vega64" => DeviceConfig::vega64(),
-        other => {
-            eprintln!("unknown device '{other}' (p100, v100, vega64)");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn load<T: Scalar>(args: &Args) -> Csr<T> {
-    if let Some(name) = &args.dataset {
-        let d = matgen::by_name(name).unwrap_or_else(|| {
-            eprintln!("unknown dataset '{name}'");
-            usage()
-        });
-        let scale = if args.tiny { matgen::Scale::Tiny } else { matgen::Scale::Repro };
-        eprintln!("generating '{}' ({:?} scale)...", d.name, scale);
-        d.generate::<T>(scale)
-    } else {
-        let path = args.matrix.as_ref().unwrap();
-        eprintln!("reading {path}...");
-        match sparse::io::read_matrix_market_file::<T>(path) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
 fn run<T: Scalar>(args: &Args) {
-    let a = load::<T>(args);
+    let a = args.run.load::<T>();
     if a.rows() != a.cols() {
         eprintln!("matrix must be square to compute A^2 ({}x{})", a.rows(), a.cols());
         std::process::exit(1);
@@ -272,17 +174,18 @@ fn run<T: Scalar>(args: &Args) {
         return;
     }
 
-    let mut gpu = Gpu::new(device_config(&args.device));
+    let mut gpu = Gpu::new(args.run.device_config());
     if args.include_transfers {
         gpu.memcpy(2 * a.device_bytes(), true).expect("memcpy cannot fail without fault injection");
     }
-    let (c, report) = match args.algorithm.run_with_opts::<T>(&mut gpu, &a, &a, &args.opts()) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("{} failed: {e}", args.algorithm.name());
-            std::process::exit(1);
-        }
-    };
+    let (c, report) =
+        match args.run.algorithm.run_with_opts::<T>(&mut gpu, &a, &a, &args.run.opts()) {
+            Ok(out) => out,
+            Err(e) => {
+                eprintln!("{} failed: {e}", args.run.algorithm.name());
+                std::process::exit(1);
+            }
+        };
     let mut total = report.total_time;
     if args.include_transfers {
         let before = gpu.elapsed();
@@ -292,9 +195,9 @@ fn run<T: Scalar>(args: &Args) {
     }
 
     println!("device      : {}", gpu.config().name);
-    println!("algorithm   : {} ({})", args.algorithm.name(), report.precision);
-    if args.algorithm == Algorithm::Proposal {
-        println!("planner     : {} estimator, {} policy", args.estimator, args.policy);
+    println!("algorithm   : {} ({})", args.run.algorithm.name(), report.precision);
+    if args.run.algorithm == Algorithm::Proposal {
+        println!("planner     : {} estimator, {} policy", args.run.estimator, args.run.policy);
     }
     println!("output nnz  : {}", c.nnz());
     println!("intermediate: {}", report.intermediate_products);
@@ -327,7 +230,7 @@ fn run<T: Scalar>(args: &Args) {
 /// Resolve `--max-device-mem` to bytes (fractions are of the multiply's
 /// memory forecast; no flag means the device's native capacity).
 fn resolve_capacity<T: Scalar>(args: &Args, a: &Csr<T>) -> u64 {
-    let cfg = device_config(&args.device);
+    let cfg = args.run.device_config();
     match args.max_device_mem {
         Some(MemLimit::Bytes(b)) => b,
         Some(MemLimit::Fraction(f)) => {
@@ -347,7 +250,7 @@ fn resolve_capacity<T: Scalar>(args: &Args, a: &Csr<T>) -> u64 {
 /// on a leak — the CI no-leak gate greps the `leak check` line).
 fn run_constrained<T: Scalar>(args: &Args, a: &Csr<T>) {
     let capacity = resolve_capacity(args, a);
-    let mut cfg = device_config(&args.device);
+    let mut cfg = args.run.device_config();
     cfg.device_mem_bytes = capacity;
     let mut gpu = Gpu::new(cfg);
     if let Some(plan) = &args.faults {
@@ -356,12 +259,12 @@ fn run_constrained<T: Scalar>(args: &Args, a: &Csr<T>) {
 
     let (result, batches) = {
         let mut exec = BatchedExecutor::sim(&mut gpu);
-        let result = exec.multiply(a, a, &args.opts());
+        let result = exec.multiply(a, a, &args.run.opts());
         (result, exec.batches_used())
     };
 
     println!("device      : {} (capped at {} B)", gpu.config().name, capacity);
-    println!("algorithm   : {} ({})", args.algorithm.name(), args.precision);
+    println!("algorithm   : {} ({})", args.run.algorithm.name(), args.run.precision);
     if let Some(plan) = &args.faults {
         println!("faults      : {plan} ({} injected)", gpu.injected_faults());
     }
@@ -411,8 +314,8 @@ fn run_host<T: Scalar>(args: &Args, a: &Csr<T>) {
         run_host_constrained::<T>(args, a, threads);
         return;
     }
-    let mut exec = HostParallelExecutor::with_config(threads, device_config(&args.device));
-    let run = match exec.multiply(a, a, &args.opts()) {
+    let mut exec = HostParallelExecutor::with_config(threads, args.run.device_config());
+    let run = match exec.multiply(a, a, &args.run.opts()) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("host backend failed: {e}");
@@ -421,10 +324,10 @@ fn run_host<T: Scalar>(args: &Args, a: &Csr<T>) {
     };
     let wall = run.wall.as_ref().expect("host backend reports wall time");
     println!("backend     : host ({} threads)", exec.threads());
-    println!("algorithm   : {} ({})", args.algorithm.name(), run.report.precision);
+    println!("algorithm   : {} ({})", args.run.algorithm.name(), run.report.precision);
     println!(
         "planner     : {} estimator ({} replanned rows), {} policy",
-        args.estimator, run.replans, args.policy
+        args.run.estimator, run.replans, args.run.policy
     );
     println!("output nnz  : {}", run.matrix.nnz());
     println!("intermediate: {}", run.report.intermediate_products);
@@ -455,15 +358,15 @@ fn run_host<T: Scalar>(args: &Args, a: &Csr<T>) {
 /// the sim backend (both are forecast-driven), wall-clock reporting.
 fn run_host_constrained<T: Scalar>(args: &Args, a: &Csr<T>, threads: usize) {
     let capacity = resolve_capacity(args, a);
-    let mut cfg = device_config(&args.device);
+    let mut cfg = args.run.device_config();
     cfg.device_mem_bytes = capacity;
     let mut exec = BatchedExecutor::host(threads, cfg);
-    let result = exec.multiply(a, a, &args.opts());
+    let result = exec.multiply(a, a, &args.run.opts());
     println!("backend     : host ({} threads, capped at {capacity} B)", {
         let caps: nsparse_core::BackendCaps = Executor::<T>::capabilities(&exec);
         caps.threads
     });
-    println!("algorithm   : {} ({})", args.algorithm.name(), args.precision);
+    println!("algorithm   : {} ({})", args.run.algorithm.name(), args.run.precision);
     match result {
         Ok(run) => {
             println!("batches     : {}", exec.batches_used());
@@ -488,10 +391,9 @@ fn run_host_constrained<T: Scalar>(args: &Args, a: &Csr<T>, threads: usize) {
 }
 
 fn main() {
-    // `spgemm trace ...` delegates to the telemetry inspection CLI
-    // (also available as the standalone `trace` binary); `spgemm serve`
-    // to the job-engine serving mode; `spgemm bench` to the
-    // perf-regression observatory.
+    // `spgemm trace ...` delegates to the telemetry inspection CLI;
+    // `spgemm serve` to the job-engine serving mode; `spgemm bench` to
+    // the perf-regression observatory.
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("trace") {
         std::process::exit(bench::tracecli::run_trace(&argv[1..]));
@@ -506,7 +408,7 @@ fn main() {
         std::process::exit(bench::chaoscli::run_chaos_cli(&argv[1..]));
     }
     let args = parse_args();
-    if args.precision == "f64" {
+    if args.run.precision == "f64" {
         run::<f64>(&args);
     } else {
         run::<f32>(&args);

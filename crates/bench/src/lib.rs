@@ -17,6 +17,7 @@ pub mod chaoscli;
 pub mod experiments;
 pub mod harness;
 pub mod report;
+pub mod runargs;
 pub mod servecli;
 pub mod table;
 pub mod tracecli;

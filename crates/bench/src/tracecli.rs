@@ -1,43 +1,39 @@
-//! The `trace` inspection CLI: run one SpGEMM with full telemetry on
-//! the virtual device and print what the paper's analyses are built
-//! from — phase × kernel × stream tables, per-stream utilization, hash
-//! probe-length histograms, per-group row populations and peak-memory
-//! attribution — plus machine-readable exports (`--jsonl`,
-//! `--chrome-trace`).
+//! `spgemm trace`: run one SpGEMM with full telemetry on the virtual
+//! device and print what the paper's analyses are built from — phase ×
+//! kernel × stream tables, per-stream utilization, hash probe-length
+//! histograms, per-group row populations and peak-memory attribution —
+//! plus machine-readable exports (`--jsonl`, `--chrome-trace`).
 //!
-//! Reachable both as `cargo run --bin trace -- ...` and as
-//! `cargo run --bin spgemm -- trace ...` (the `spgemm` binary delegates
-//! its `trace` subcommand here). The run is fully deterministic:
-//! identical arguments produce byte-identical exports.
+//! ```text
+//! spgemm trace --dataset QCD --tiny
+//! spgemm trace --dataset Protein --algorithm cusparse --jsonl run.jsonl --check
+//! spgemm trace --matrix m.mtx --chrome-trace trace.json
+//! ```
+//!
+//! The run is fully deterministic: identical arguments produce
+//! byte-identical exports.
 
+use crate::runargs::RunArgs;
 use baselines::Algorithm;
-use nsparse_core::{AlgorithmPolicy, Estimator, Options};
-use sparse::{Csr, Scalar};
-use vgpu::{DeviceConfig, Gpu, Phase, SimTime};
+use sparse::Scalar;
+use vgpu::{Gpu, Phase, SimTime};
 
 /// Parsed command line of the trace subcommand.
 struct Args {
-    dataset: Option<String>,
-    matrix: Option<String>,
-    algorithm: Algorithm,
-    precision: String,
-    device: String,
-    tiny: bool,
+    run: RunArgs,
     jsonl: Option<String>,
     chrome_trace: Option<String>,
     check: bool,
-    estimator: Estimator,
-    policy: AlgorithmPolicy,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: trace (--dataset NAME | --matrix FILE.mtx) \
+        "usage: spgemm trace (--dataset NAME | --matrix FILE.mtx) \
          [--algorithm proposal|cusparse|cusp|bhsparse] [--precision f32|f64] \
          [--device p100|v100|vega64] [--tiny] \
          [--estimator exact|sampled[:K]] [--policy hash|adaptive] \
          [--jsonl OUT.jsonl] [--chrome-trace OUT.json] [--check]\n\
-         or:    trace --per-job [--jobs N] [--workers N] [--seed S] \
+         or:    spgemm trace --per-job [--jobs N] [--workers N] [--seed S] \
          [--dim N] [--patterns N] [--faults] [--precision f32|f64]\n\
          --per-job runs the seeded engine driver with job tracing and\n\
          prints a per-job stage table (queue-wait, plan cache, symbolic,\n\
@@ -54,57 +50,16 @@ fn usage() -> ! {
 }
 
 fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args {
-        dataset: None,
-        matrix: None,
-        algorithm: Algorithm::Proposal,
-        precision: "f32".into(),
-        device: "p100".into(),
-        tiny: false,
-        jsonl: None,
-        chrome_trace: None,
-        check: false,
-        estimator: Estimator::Exact,
-        policy: AlgorithmPolicy::HashOnly,
-    };
+    let mut args = Args { run: RunArgs::new(usage), jsonl: None, chrome_trace: None, check: false };
     let mut it = argv.iter().cloned();
     while let Some(flag) = it.next() {
-        let value = |it: &mut dyn Iterator<Item = String>| it.next().unwrap_or_else(|| usage());
+        if args.run.parse_flag(&flag, &mut it) {
+            continue;
+        }
         match flag.as_str() {
-            "--dataset" => args.dataset = Some(value(&mut it)),
-            "--matrix" => args.matrix = Some(value(&mut it)),
-            "--algorithm" => {
-                args.algorithm = match value(&mut it).to_ascii_lowercase().as_str() {
-                    "proposal" | "nsparse" => Algorithm::Proposal,
-                    "cusparse" => Algorithm::Cusparse,
-                    "cusp" | "esc" => Algorithm::Cusp,
-                    "bhsparse" => Algorithm::Bhsparse,
-                    other => {
-                        eprintln!("unknown algorithm '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--precision" => args.precision = value(&mut it).to_ascii_lowercase(),
-            "--device" => args.device = value(&mut it).to_ascii_lowercase(),
-            "--tiny" => args.tiny = true,
-            "--jsonl" => args.jsonl = Some(value(&mut it)),
-            "--chrome-trace" => args.chrome_trace = Some(value(&mut it)),
+            "--jsonl" => args.jsonl = Some(it.next().unwrap_or_else(|| usage())),
+            "--chrome-trace" => args.chrome_trace = Some(it.next().unwrap_or_else(|| usage())),
             "--check" => args.check = true,
-            "--estimator" => {
-                let spec = value(&mut it);
-                args.estimator = Estimator::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("bad --estimator '{spec}': {e}");
-                    usage()
-                });
-            }
-            "--policy" => {
-                let spec = value(&mut it);
-                args.policy = AlgorithmPolicy::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("bad --policy '{spec}': {e}");
-                    usage()
-                });
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag '{other}'");
@@ -112,54 +67,8 @@ fn parse_args(argv: &[String]) -> Args {
             }
         }
     }
-    if args.dataset.is_none() == args.matrix.is_none() {
-        eprintln!("exactly one of --dataset / --matrix is required");
-        usage();
-    }
-    if !matches!(args.precision.as_str(), "f32" | "f64") {
-        eprintln!("precision must be f32 or f64");
-        usage();
-    }
-    if (args.estimator != Estimator::Exact || args.policy != AlgorithmPolicy::HashOnly)
-        && args.algorithm != Algorithm::Proposal
-    {
-        eprintln!("--estimator / --policy need --algorithm proposal (baselines plan exactly)");
-        usage();
-    }
+    args.run.validate();
     args
-}
-
-fn device_config(name: &str) -> DeviceConfig {
-    match name {
-        "p100" => DeviceConfig::p100(),
-        "v100" => DeviceConfig::v100(),
-        "vega64" => DeviceConfig::vega64(),
-        other => {
-            eprintln!("unknown device '{other}' (p100, v100, vega64)");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn load<T: Scalar>(args: &Args) -> Csr<T> {
-    if let Some(name) = &args.dataset {
-        let d = matgen::by_name(name).unwrap_or_else(|| {
-            eprintln!("unknown dataset '{name}'");
-            usage()
-        });
-        let scale = if args.tiny { matgen::Scale::Tiny } else { matgen::Scale::Repro };
-        eprintln!("generating '{}' ({:?} scale)...", d.name, scale);
-        d.generate::<T>(scale)
-    } else {
-        let path = args.matrix.as_ref().unwrap();
-        match sparse::io::read_matrix_market_file::<T>(path) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 /// Scaled ASCII bar for histogram rendering.
@@ -194,7 +103,7 @@ pub fn run_trace(argv: &[String]) -> i32 {
         return run_per_job(argv);
     }
     let args = parse_args(argv);
-    if args.precision == "f64" {
+    if args.run.precision == "f64" {
         run::<f64>(&args)
     } else {
         run::<f32>(&args)
@@ -318,27 +227,27 @@ fn per_job_report<T: Scalar>(rep: &engine::DriverReport<T>, cfg: &engine::Driver
 }
 
 fn run<T: Scalar>(args: &Args) -> i32 {
-    let a = load::<T>(args);
+    let run = &args.run;
+    let a = run.load::<T>();
     if a.rows() != a.cols() {
         eprintln!("matrix must be square to compute A^2 ({}x{})", a.rows(), a.cols());
         return 1;
     }
-    let mut gpu = Gpu::new(device_config(&args.device));
+    let mut gpu = Gpu::new(run.device_config());
     gpu.enable_telemetry();
-    let opts = Options { estimator: args.estimator, policy: args.policy, ..Options::default() };
-    let (c, report) = match args.algorithm.run_with_opts::<T>(&mut gpu, &a, &a, &opts) {
+    let (c, report) = match run.algorithm.run_with_opts::<T>(&mut gpu, &a, &a, &run.opts()) {
         Ok(out) => out,
         Err(e) => {
-            eprintln!("{} failed: {e}", args.algorithm.name());
+            eprintln!("{} failed: {e}", run.algorithm.name());
             return 1;
         }
     };
 
     println!("== run ==");
     println!("device      : {}", gpu.config().name);
-    println!("algorithm   : {} ({})", args.algorithm.name(), report.precision);
-    if args.algorithm == Algorithm::Proposal {
-        println!("planner     : {} estimator, {} policy", args.estimator, args.policy);
+    println!("algorithm   : {} ({})", run.algorithm.name(), report.precision);
+    if run.algorithm == Algorithm::Proposal {
+        println!("planner     : {} estimator, {} policy", run.estimator, run.policy);
     }
     println!("matrix      : {} rows, {} nnz", a.rows(), a.nnz());
     println!("output nnz  : {}", c.nnz());
